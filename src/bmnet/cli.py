@@ -29,6 +29,11 @@ _DEFAULT_SIGMA2 = 0.05
 _DEFAULT_J = 0.1
 _DEFAULT_CONVERGENCE_DTS = [2.0 ** -k for k in range(4, 10)]
 
+# Raised whenever a change alters a random stream or a float summation
+# order, and so the output bytes for an unchanged config.  2: the ring
+# lattice coupling became a prefix-sum window over the centred state.
+FORMAT_VERSION = 2
+
 EVOLUTION_HEADER = ("t,family,alpha,beta,gamma,mu,s,gamma_hat,"
                     "alpha_gamma_hat,loglik,ks_stat,p_value,converged")
 
@@ -138,7 +143,8 @@ def _snapshot_filename(t: float) -> str:
 
 def _manifest(command: str, config: ExperimentConfig, outputs) -> dict:
     return {"command": command, "config": config.sections,
-            "config_text": config_to_text(config), "outputs": sorted(outputs)}
+            "config_text": config_to_text(config),
+            "format_version": FORMAT_VERSION, "outputs": sorted(outputs)}
 
 
 def cmd_simulate(config_path, seed=None, out_dir=".") -> int:

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .distributions import theta_of_gamma
 from .errors import PositivityError
-from .topology import COMPLETE, NetworkTopology
+from .topology import COMPLETE, REGULAR_RING, NetworkTopology
 
 MILSTEIN = "milstein"
 TAYLOR15 = "taylor15"
@@ -134,7 +134,8 @@ def interaction_drift(w: np.ndarray, topology: NetworkTopology,
     """Pairwise exchange drift f_i = (J/n) sum over neighbors of (w_j - w_i).
 
     Isolated agents get zero drift.  The coupling matrix is symmetric,
-    so the drift sums to zero over the ensemble.
+    so the drift sums to zero over the ensemble.  Evaluated by the same
+    operator :class:`NetworkDynamics` integrates with.
     """
     w = np.asarray(w, dtype=float)
     if w.size != topology.N:
@@ -142,14 +143,7 @@ def interaction_drift(w: np.ndarray, topology: NetworkTopology,
             f"state size {w.size} does not match topology N={topology.N}")
     if not topology.n_divisor > 0:
         raise ValueError("topology has n_divisor = 0; no coupling defined")
-    if topology.kind == COMPLETE:
-        # (J/N) * (sum_j w_j - N w_i), algebraically the neighbor sum
-        return (J / topology.n_divisor) * (w.sum() - topology.N * w)
-    deg = topology.degrees
-    row = np.repeat(np.arange(topology.N), deg)
-    neighbor_sum = np.bincount(row, weights=w[topology.indices],
-                               minlength=topology.N)
-    return (J / topology.n_divisor) * (neighbor_sum - deg * w)
+    return NetworkDynamics(topology)._apply(w, J)
 
 
 def mf_drift(w: np.ndarray, J: float) -> np.ndarray:
@@ -180,29 +174,55 @@ def eft_drift(w: np.ndarray, J: float, gamma_eft: float,
 class NetworkDynamics:
     """Pairwise exchange on a fixed topology.
 
-    Caches a sparse adjacency operator so the neighbor sums (and the
-    Jacobian contractions of the order-1.5 scheme, which reuse the same
-    linear operator) cost one sparse matvec each.
+    The drift, and the Jacobian contractions of the order-1.5 scheme,
+    are one linear coupling operator applied to different vectors.  The
+    complete graph and the ring lattice apply it in closed form in O(N)
+    (ensemble sum; circulant sliding-window sum), without reading the
+    adjacency.  Only the small-world graph, which has no such structure,
+    caches a sparse matrix and pays one sparse matvec per apply.
     """
 
     kind = "network"
 
     def __init__(self, topology: NetworkTopology):
         self.topology = topology
-        self._deg = topology.degrees.astype(float)
-        if topology.kind == COMPLETE:
-            self._adj = None
-        else:
+        self._adj = None
+        if topology.kind not in (COMPLETE, REGULAR_RING):
             n = topology.N
+            self._deg = topology.degrees.astype(float)
             self._adj = sp.csr_matrix(
                 (np.ones(topology.indices.size), topology.indices,
                  topology.indptr), shape=(n, n))
 
     def _apply(self, v: np.ndarray, J: float) -> np.ndarray:
         top = self.topology
-        if self._adj is None:
+        if top.kind == COMPLETE:
             return (J / top.n_divisor) * (v.sum() - top.N * v)
+        if top.kind == REGULAR_RING:
+            return (J / top.n_divisor) * self._ring_coupling(v)
         return (J / top.n_divisor) * (self._adj @ v - self._deg * v)
+
+    def _ring_coupling(self, v: np.ndarray) -> np.ndarray:
+        """Neighbor sum minus n times the own value, on the ring lattice.
+
+        Agent i's neighbors i-h ... i+h (h = n//2, i itself removed), plus
+        the antipode i + N/2 for odd n, form a circulant window, so every
+        window sum is a difference of two prefix sums of the periodically
+        padded vector.  The vector is centred first: rows of the operator
+        sum to zero, so this leaves the result unchanged, and it keeps
+        the prefix sums small, which keeps the drift's ensemble sum
+        within rounding of zero.
+        """
+        N, n = self.topology.N, int(self.topology.n_divisor)
+        h = n // 2
+        u = v - v.mean()
+        c = np.empty(N + 2 * h + 1)
+        c[0] = 0.0
+        np.cumsum(np.concatenate((u[N - h:], u, u[:h])), out=c[1:])
+        s = c[2 * h + 1:] - c[:N] - u
+        if n % 2:
+            s += np.roll(u, -(N // 2))
+        return s - n * u
 
     def drift(self, w: np.ndarray, params: ModelParams) -> np.ndarray:
         return self._apply(w, params.J)
@@ -318,8 +338,12 @@ def taylor15_step(state: WealthState, dynamics, params: ModelParams,
 
 
 def _check_positive_state(w: np.ndarray, t: float) -> None:
-    if np.any(w <= 0):
-        raise PositivityError(agent=int(np.argmax(w <= 0)), t=t)
+    # min is NaN if any entry is NaN, and +-inf fails one comparison
+    if not (w.min() > 0 and w.max() < np.inf):
+        bad = ~np.isfinite(w) | (w <= 0)
+        agent = int(np.argmax(bad))
+        raise PositivityError(agent=agent, t=t,
+                              finite=bool(np.isfinite(w[agent])))
 
 
 def to_unscaled(w: np.ndarray, sigma: float, t: float) -> np.ndarray:

@@ -20,21 +20,24 @@ class DegenerateSampleError(ValueError):
 
 
 class PositivityError(RuntimeError):
-    """An integration step drove some wealth value to zero or below.
+    """An integration step drove some wealth value to zero or below, or
+    to a non-finite value (NaN or +-inf).
 
     Signals that the step size is too large for the parameters.  Carries
-    the first offending agent index, the step index (when known) and the
-    simulation time.  ``snapshots`` holds whatever snapshots were emitted
-    before the failure.
+    the first offending agent index, whether its value was still finite,
+    the step index (when known) and the simulation time.  ``snapshots``
+    holds whatever snapshots were emitted before the failure.
     """
 
-    def __init__(self, agent, t, step=None, snapshots=None):
+    def __init__(self, agent, t, step=None, snapshots=None, finite=True):
         self.agent = int(agent)
         self.t = float(t)
         self.step = step
+        self.finite = bool(finite)
         self.snapshots = snapshots if snapshots is not None else []
         super().__init__(
-            f"wealth became non-positive for agent {self.agent} at t={self.t:g}"
+            f"wealth became {'non-positive' if self.finite else 'non-finite'}"
+            f" for agent {self.agent} at t={self.t:g}"
             + (f" (step {self.step})" if self.step is not None else "")
             + "; reduce dt"
         )

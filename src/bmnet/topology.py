@@ -6,7 +6,9 @@ is linked independently with a fixed probability.  Each topology carries
 the divisor ``n`` that defines the pairwise coupling J_ij = J / n.
 
 Adjacency is stored in compressed (CSR) form with sorted neighbor lists,
-which keeps the neighbor-sum in the drift cache friendly at N ~ 1e3-1e4.
+for edge-list output and graph queries.  The drift reads it only for the
+small-world graph; the complete graph and the ring lattice have closed
+forms that the engine applies without it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ class NetworkTopology:
     n_divisor : the n in J_ij = J/n.  For the small-world graph this is
         the *expected* degree p_sw * N, not any realized degree.
     indptr, indices : CSR adjacency; ``indices[indptr[i]:indptr[i+1]]``
-        is the sorted neighbor list of agent i.
+        is the sorted neighbor list of agent i.  For ``regular_ring`` the
+        engine reads only N and n_divisor, so the arrays must be the
+        lattice that :func:`build_regular_ring` gives.
     """
 
     N: int
@@ -115,22 +119,15 @@ def build_regular_ring(N: int, n: int) -> NetworkTopology:
         raise ValueError(f"ring degree must satisfy 1 <= n <= N-1, got n={n}")
     if n % 2 == 1 and N % 2 == 1:
         raise ValueError(f"odd ring degree n={n} requires even N, got N={N}")
-    idx = np.arange(N)
-    src, dst = [], []
-    for off in range(1, n // 2 + 1):
-        src.append(idx)
-        dst.append((idx + off) % N)
+    h = n // 2
+    offsets = np.concatenate((np.arange(-h, 0), np.arange(1, h + 1)))
     if n % 2 == 1:
-        half = N // 2
-        src.append(idx[:half])
-        dst.append(idx[:half] + half)
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
-    # i +- off wraps may duplicate pairs when n = N-1 and N odd is already
-    # excluded; dedupe guards n close to N on small rings.
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return _from_pairs(N, REGULAR_RING, n, pairs[:, 0], pairs[:, 1])
+        offsets = np.append(offsets, N // 2)
+    # 2h + 1 <= N, so the offsets are distinct mod N: no duplicate pairs
+    nbrs = np.sort((np.arange(N)[:, None] + offsets) % N, axis=1)
+    return NetworkTopology(N=int(N), kind=REGULAR_RING, n_divisor=float(n),
+                           indptr=np.arange(N + 1, dtype=np.int64) * n,
+                           indices=nbrs.ravel().astype(np.int64))
 
 
 def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkTopology:
@@ -173,7 +170,12 @@ def save_edge_list(topology: NetworkTopology, path) -> None:
 
 
 def load_edge_list(path) -> NetworkTopology:
-    """Read a topology written by :func:`save_edge_list`."""
+    """Read a topology written by :func:`save_edge_list`.
+
+    Rejects out-of-range and repeated edges, and a ``regular_ring`` whose
+    edges are not the ring lattice for its N and degree, since the
+    engine applies the ring coupling from (N, n) alone.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != "N" or header[2] != "kind" \
@@ -183,6 +185,7 @@ def load_edge_list(path) -> NetworkTopology:
         kind = header[3]
         n_divisor = float(header[5])
         src, dst = [], []
+        seen = set()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -191,8 +194,19 @@ def load_edge_list(path) -> NetworkTopology:
             i, j = int(a), int(b)
             if not 0 <= i < j < N:
                 raise ValueError(f"{path}:{lineno}: bad edge {i} {j}")
+            if (i, j) in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate edge {i} {j}")
+            seen.add((i, j))
             src.append(i)
             dst.append(j)
-    return _from_pairs(N, kind, n_divisor,
-                       np.asarray(src, dtype=np.int64),
-                       np.asarray(dst, dtype=np.int64))
+    top = _from_pairs(N, kind, n_divisor,
+                      np.asarray(src, dtype=np.int64),
+                      np.asarray(dst, dtype=np.int64))
+    if kind == REGULAR_RING:
+        ring = build_regular_ring(N, int(n_divisor))
+        if n_divisor != ring.n_divisor or \
+                not np.array_equal(top.indptr, ring.indptr) or \
+                not np.array_equal(top.indices, ring.indices):
+            raise ValueError(f"{path}: edges are not the ring lattice with "
+                             f"N={N}, n={n_divisor:g}")
+    return top

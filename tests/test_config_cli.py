@@ -145,6 +145,7 @@ class TestSimulateCommand:
         out1 = tmp_path / "a"
         cli.main(["simulate", "--config", path, "--out", str(out1)])
         manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["format_version"] == cli.FORMAT_VERSION
         replay_cfg = tmp_path / "replay.ini"
         replay_cfg.write_text(manifest["config_text"])
         out2 = tmp_path / "b"

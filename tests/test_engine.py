@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -79,6 +80,47 @@ class TestInteractionDrift:
                            rtol=1e-12, atol=1e-14)
 
 
+def naive_ring_neighbors(N, n, i):
+    """Agents at ring distance 1..n//2 from i, plus distance N/2 for odd n."""
+    k = np.arange(N)
+    d = np.minimum(np.abs(k - i), N - np.abs(k - i))
+    return k[((d >= 1) & (d <= n // 2)) | ((n % 2 == 1) & (d == N // 2))]
+
+
+# n = 1, 2, odd with antipode, and n = N - 1 for even and odd N
+RING_CASES = [(4, 1), (2000, 1), (5, 2), (2000, 2), (1999, 2), (2000, 7),
+              (10, 3), (1000, 101), (12, 11), (2000, 1999), (13, 12),
+              (1999, 1998), (1001, 500), (300, 150)]
+
+
+class TestRingOperator:
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("N, n", RING_CASES)
+    def test_matches_explicit_neighbor_sum(self, N, n, offset):
+        # a large common offset would swamp uncentred prefix sums
+        rng = np.random.default_rng(N + n)
+        w = rng.gamma(2.0, 1.0, N) + 1e-4 + offset
+        explicit = np.array([
+            (0.1 / n) * np.sum(w[naive_ring_neighbors(N, n, i)] - w[i])
+            for i in range(N)])
+        f = NetworkDynamics(build_regular_ring(N, n)).drift(w, BASE_PARAMS)
+        assert np.abs(f - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+    @pytest.mark.parametrize("N, n", RING_CASES)
+    def test_conserves_wealth(self, N, n):
+        rng = np.random.default_rng(7 * N + n)
+        w = rng.gamma(2.0, 1.0, N) + 1e-4
+        f = NetworkDynamics(build_regular_ring(N, n)).drift(w, BASE_PARAMS)
+        assert abs(f.sum()) <= N * np.finfo(float).eps * np.abs(w).max()
+
+    def test_ring_holds_no_sparse_matrix(self):
+        ring = NetworkDynamics(build_regular_ring(1000, 10))
+        assert not any(sp.issparse(v) for v in vars(ring).values())
+        # the small-world graph has no closed form and keeps its matrix
+        sw = NetworkDynamics(build_random_smallworld(100, 0.1, seed=1))
+        assert any(sp.issparse(v) for v in vars(sw).values())
+
+
 class TestMeanFieldDrift:
     def test_uniform_is_fixed(self):
         assert np.allclose(mf_drift(np.full(5, 3.3), 0.1), 0.0)
@@ -142,6 +184,29 @@ class TestMilsteinStep:
         with pytest.raises(PositivityError) as err:
             milstein_step(state, f, BASE_PARAMS.sigma, 0.5, NoiseIncrement(np.zeros(2)))
         assert err.value.agent == 1
+        assert err.value.finite
+        assert "non-positive" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
+def test_non_finite_state_raises(bad, scheme):
+    # NaN fails every comparison, so a plain w <= 0 test lets it through
+    w = np.array([1.0, 0.9, bad, 1.1])
+    state = WealthState(0.0, w)
+    noise = step_noise(2, 0, 4, 0.01, with_dz=True)
+    dyn = MeanFieldDynamics()
+    with pytest.raises(PositivityError) as err, \
+            np.errstate(invalid="ignore", over="ignore"):
+        if scheme == "milstein":
+            milstein_step(state, np.zeros(4), BASE_PARAMS.sigma, 0.01, noise)
+        else:
+            taylor15_step(state, dyn, BASE_PARAMS, 0.01, noise)
+    assert not err.value.finite
+    assert "non-finite" in str(err.value)
+    # milstein leaves the other agents finite; taylor15's mean-field
+    # coupling spreads the bad value to agent 0
+    assert err.value.agent == (2 if scheme == "milstein" else 0)
 
 
 class TestTaylor15Step:

@@ -80,6 +80,21 @@ class TestRegularRing:
         assert np.all(top.degrees == n)
         assert_valid_adjacency(top)
 
+    @pytest.mark.parametrize("N, n", [(3, 2), (4, 1), (4, 3), (5, 4),
+                                      (9, 2), (10, 5), (11, 10), (12, 11),
+                                      (100, 7), (101, 50), (400, 40)])
+    def test_indices_match_naive_construction(self, N, n):
+        # neighbor sets by ring distance: 1..n//2, plus N/2 for odd n
+        expected = []
+        for i in range(N):
+            d = {j: min(abs(i - j), N - abs(i - j)) for j in range(N)}
+            expected.extend(sorted(
+                j for j in range(N)
+                if 1 <= d[j] <= n // 2 or (n % 2 == 1 and d[j] == N // 2)))
+        top = build_regular_ring(N, n)
+        assert top.indices.tolist() == expected
+        assert top.indptr.tolist() == list(range(0, N * n + 1, n))
+
     @given(st.integers(min_value=2, max_value=12))
     def test_full_ring_equals_complete(self, half):
         N = 2 * half
@@ -153,6 +168,33 @@ def test_edge_list_round_trip(tmp_path):
     assert back.n_divisor == top.n_divisor
     assert np.array_equal(back.indptr, top.indptr)
     assert np.array_equal(back.indices, top.indices)
+
+
+def test_edge_list_ring_round_trip(tmp_path):
+    top = build_regular_ring(20, 5)
+    path = tmp_path / "ring.txt"
+    save_edge_list(top, path)
+    back = load_edge_list(path)
+    assert back.kind == top.kind and back.n_divisor == top.n_divisor
+    assert np.array_equal(back.indices, top.indices)
+
+
+def test_edge_list_rejects_edited_ring(tmp_path):
+    # the engine applies the ring coupling from (N, n), not from the edges
+    path = tmp_path / "ring.txt"
+    save_edge_list(build_regular_ring(20, 4), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="ring lattice"):
+        load_edge_list(path)
+
+
+def test_edge_list_rejects_duplicate_edge(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("N 5 kind random_smallworld n_divisor 1.0\n"
+                    "0 1\n2 3\n0 1\n")
+    with pytest.raises(ValueError, match=r"dup\.txt:4: duplicate edge 0 1"):
+        load_edge_list(path)
 
 
 def test_edge_list_rejects_garbage(tmp_path):
