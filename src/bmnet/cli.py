@@ -32,7 +32,10 @@ _DEFAULT_CONVERGENCE_DTS = [2.0 ** -k for k in range(4, 10)]
 # Raised whenever a change alters a random stream or a float summation
 # order, and so the output bytes for an unchanged config.  2: the ring
 # lattice coupling became a prefix-sum window over the centred state.
-FORMAT_VERSION = 2
+# 3: the inner gamma MLE became a Newton solve (warm-started during the
+# GIGa golden-section search), so fitted alpha, beta and loglik change
+# in about the 12th digit.
+FORMAT_VERSION = 3
 
 EVOLUTION_HEADER = ("t,family,alpha,beta,gamma,mu,s,gamma_hat,"
                     "alpha_gamma_hat,loglik,ks_stat,p_value,converged")

@@ -35,7 +35,11 @@ class PositivityError(RuntimeError):
         self.step = step
         self.finite = bool(finite)
         self.snapshots = snapshots if snapshots is not None else []
-        super().__init__(
+        super().__init__(self.agent, self.t)
+
+    def __str__(self):
+        # built on demand: simulate() learns the step index after raising
+        return (
             f"wealth became {'non-positive' if self.finite else 'non-finite'}"
             f" for agent {self.agent} at t={self.t:g}"
             + (f" (step {self.step})" if self.step is not None else "")

@@ -169,6 +169,19 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", path,
                          "--out", str(tmp_path / "x")]) == 3
 
+    def test_positivity_failure_prints_step(self, tmp_path, capsys):
+        text = MINIMAL.replace("J = 0.1", "J = 30")
+        text = text.replace("dt = 0.01", "dt = 0.2")
+        text = text.replace("snapshot_times = 0, 0.5, 1",
+                            "snapshot_times = 0, 1")
+        text = text.replace("seed = 42", "seed = 12\ninit = gaussian:0.4")
+        path = write_config(tmp_path, text)
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: wealth became")
+        assert "(step 0)" in err
+
 
 class TestEvolveCommand:
     def test_rows_per_time_and_family(self, tmp_path):

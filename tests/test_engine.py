@@ -346,6 +346,16 @@ class TestSimulate:
         assert err.value.step is not None
         assert len(err.value.snapshots) >= 1
 
+    def test_positivity_message_names_failing_step(self):
+        cfg = _mf_config(params=ModelParams.from_sigma2(0.05, 30.0),
+                        dynamics=MeanFieldDynamics(), N=40, dt=0.2,
+                        t_end=20.0, snapshot_times=(0.0, 0.2, 0.4),
+                        init="gaussian", init_sd=0.4, seed=12)
+        with pytest.raises(PositivityError) as err:
+            simulate(cfg)
+        assert err.value.step == 0
+        assert "(step 0)" in str(err.value)
+
     def test_uncoupled_run_matches_transient_lognormal(self):
         # J=0 at t=5: log w ~ Normal(-sigma^2 t, 2 sigma^2 t)
         cfg = _mf_config(params=ModelParams.from_sigma2(0.05, 0.0),

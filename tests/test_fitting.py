@@ -1,15 +1,21 @@
 """MLE correctness: closed forms, synthetic recovery, profile structure."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bmnet
 from bmnet.distributions import GIGaParams, giga_logpdf, giga_sample, ln_sample, LNParams
 from bmnet.errors import DegenerateSampleError
-from bmnet.fitting import (fit_giga, fit_iga, fit_lognormal,
+from bmnet.fitting import (GAMMA_SEARCH_RANGE, GAMMA_TOL, _minka_start,
+                           _newton_shape, _newton_shape_array, _profile_scan,
+                           fit_giga, fit_iga, fit_lognormal,
                            gamma_shape_scale_mle)
 
 
@@ -62,6 +68,46 @@ class TestGammaMLE:
         rhs = math.log(y.mean()) - np.log(y).mean()
         assert lhs == pytest.approx(rhs, rel=1e-10)
         assert scale == pytest.approx(y.mean() / shape, rel=1e-12)
+
+
+def _bisect_shape(s):
+    # log k - digamma(k) decreases in k; bisect on log k
+    from scipy.special import digamma
+    lo, hi = 1e-12, 1e12
+    for _ in range(300):
+        mid = math.sqrt(lo * hi)
+        if math.log(mid) - digamma(mid) > s:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+class TestNewtonShape:
+    @pytest.mark.parametrize("lo_exp,hi_exp,rtol", [(-3, 3, 1e-10),
+                                                    (-6, -3, 1e-7)])
+    def test_matches_bisection(self, lo_exp, hi_exp, rtol):
+        for s in np.logspace(lo_exp, hi_exp, 61):
+            s = float(s)
+            k, _ = _newton_shape(s, float(_minka_start(s)))
+            ref = _bisect_shape(s)
+            assert abs(k - ref) <= rtol * ref, s
+
+    def test_scalar_and_array_paths_agree_exactly(self):
+        s = np.logspace(-6, 3, 200)
+        starts = np.concatenate([_minka_start(s[:100]),
+                                 0.5 * _minka_start(s[100:])])
+        arr = _newton_shape_array(s, starts)
+        for si, ki, ai in zip(s, starts, arr):
+            assert _newton_shape(float(si), float(ki))[0] == ai
+
+    def test_warm_start_far_off_converges(self):
+        for s in (1e-3, 0.1, 1.0, 30.0):
+            k_ref = _bisect_shape(s)
+            for start in (k_ref / 3.0, 3.0 * k_ref):
+                k, steps = _newton_shape(s, start)
+                assert k == pytest.approx(k_ref, rel=1e-10)
+                assert steps <= 8
 
 
 class TestIGaFit:
@@ -165,9 +211,45 @@ class TestGIGaFit:
         assert r.params.gamma == pytest.approx(0.05, abs=3e-4)
 
 
+def _dense_argmax(log_w, lo, hi):
+    grid = np.linspace(lo, hi, 4000)
+    ll, _ = _profile_scan(log_w, float(log_w.mean()), grid)
+    return grid[int(np.argmax(ll))], grid[1] - grid[0]
+
+
+@pytest.mark.parametrize("params,seed", [
+    (GIGaParams(6, 20, 0.5), 1), (GIGaParams(6, 20, 0.5), 2),
+    (GIGaParams(3, 2, 1), 3), (GIGaParams(2, 1, 2.0), 4),
+    (GIGaParams(40, 1, 0.2), 5)])
+def test_giga_gamma_is_dense_profile_argmax(params, seed):
+    # a 4000-point profile over the whole search range locates the global
+    # maximum to one grid step; a second 4000-point profile across that
+    # step pins it far below GAMMA_TOL
+    log_w = np.log(giga_sample(params, 2000, seed=seed))
+    lo, hi = GAMMA_SEARCH_RANGE
+    coarse, step = _dense_argmax(log_w, lo, hi)
+    fine, _ = _dense_argmax(log_w, max(lo, coarse - step),
+                            min(hi, coarse + step))
+    r = fit_giga(np.exp(log_w))
+    assert abs(r.params.gamma - fine) <= GAMMA_TOL
+    if not r.at_boundary:
+        assert r.iterations == 47  # 28 scan points + 19 golden-section
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bmnet.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bmnet; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_report_serialization_keys():
     x = giga_sample(GIGaParams(3, 2, 1), 200, seed=1)
     for report in (fit_lognormal(x), fit_iga(x), fit_giga(x)):
         d = report.to_json_dict()
         assert set(d) == {"family", "params", "loglik", "n", "converged",
-                          "gamma", "alpha_gamma"}
+                          "iterations", "at_boundary", "gamma",
+                          "alpha_gamma"}

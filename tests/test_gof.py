@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmnet.distributions import (GIGaParams, LNParams, giga_sample, ln_cdf,
-                                 ln_sample)
+from bmnet.distributions import (GIGaParams, LNParams, giga_cdf, giga_sample,
+                                 ln_cdf, ln_sample)
 from bmnet.engine import MeanFieldDynamics, ModelParams, SimConfig, simulate
+from bmnet.fitting import fit_giga
 from bmnet.gof import compare_families, ks_pvalue_bootstrap, ks_statistic
 
 
@@ -52,6 +53,71 @@ class TestKsStatistic:
         d_raw = ks_statistic(x, lambda v: ln_cdf(p, v))
         d_log = ks_statistic(np.log(x), lambda v: ln_cdf(p, np.exp(v)))
         assert d_raw == pytest.approx(d_log, abs=1e-12)
+
+
+def full_ks(samples, cdf):
+    # reference: the CDF evaluated at every sorted value
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    f = np.asarray(cdf(x), dtype=float)
+    steps = np.arange(1, n + 1) / n
+    return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+
+
+def _ks_case(cdf_kind, n, seed, ties, misfit):
+    """A sample and a CDF: exact law when misfit is 0, else a perturbed one."""
+    rng = np.random.default_rng(seed)
+    if cdf_kind == "identity":
+        x = rng.uniform(0.0, 1.0, n)
+        a = 1.0 + misfit
+        cdf = lambda v: v ** a  # noqa: E731
+    elif cdf_kind == "LN":
+        x = ln_sample(LNParams(-0.1, 0.5), n, seed)
+        p = LNParams(-0.1 + 0.2 * misfit, 0.5 * (1.0 + misfit))
+        cdf = lambda v: ln_cdf(p, v)  # noqa: E731
+    else:
+        x = giga_sample(GIGaParams(6.0, 20.0, 0.5), n, seed)
+        p = GIGaParams(6.0 * (1.0 + misfit), 20.0, 0.5)
+        cdf = lambda v: giga_cdf(p, v)  # noqa: E731
+    if ties:
+        # few distinct values, so runs of equal values straddle blocks
+        x = np.round(x, 1) if cdf_kind == "identity" else \
+            np.exp(np.round(np.log(x), 1))
+    return x, cdf
+
+
+class TestBlockBoundedKs:
+    @given(st.sampled_from(["identity", "LN", "GIGa"]),
+           st.one_of(st.integers(1, 15), st.integers(16, 3000)),
+           st.integers(0, 10 ** 6), st.booleans(),
+           st.sampled_from([0.0, 0.0, 1e-3, 0.05, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_full_evaluation(self, cdf_kind, n, seed, ties, misfit):
+        x, cdf = _ks_case(cdf_kind, n, seed, ties, misfit)
+        assert ks_statistic(x, cdf) == full_ks(x, cdf)
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 47, 1001,
+                                   2999, 3000])
+    @pytest.mark.parametrize("cdf_kind", ["identity", "LN", "GIGa"])
+    def test_block_edges_equal_full_evaluation(self, n, cdf_kind):
+        for seed, ties in ((n, False), (n + 1, True)):
+            x, cdf = _ks_case(cdf_kind, n, seed, ties, 0.0)
+            assert ks_statistic(x, cdf) == full_ks(x, cdf)
+
+    def test_well_fitted_giga_evaluates_a_fraction(self):
+        n = 10 ** 4
+        x = giga_sample(GIGaParams(6.0, 20.0, 0.5), n, seed=21)
+        params = fit_giga(x).params
+        seen = []
+
+        def counting_cdf(v):
+            seen.append(np.size(v))
+            return giga_cdf(params, v)
+
+        d = ks_statistic(x, counting_cdf)
+        assert d == full_ks(x, lambda v: giga_cdf(params, v))
+        assert len(seen) <= 2
+        assert sum(seen) < n / 4
 
 
 class TestBootstrap:
