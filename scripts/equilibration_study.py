@@ -11,7 +11,6 @@ much earlier than the ring, whose long-wavelength modes relax slowly.
 import argparse
 import os
 
-from bmnet.cli import _fmt, _write_atomic
 from bmnet.engine import ModelParams, NetworkDynamics, SimConfig, simulate
 from bmnet.fitting import fit_giga
 from bmnet.topology import build_random_smallworld, build_regular_ring
@@ -55,10 +54,11 @@ def main() -> None:
     for label, dynamics, scheme in runs:
         rows = run_one(label, dynamics, scheme, args.n_agents, args.t_end,
                        args.seed)
-        lines = ["t,gamma_hat,alpha_gamma_hat"]
-        lines += [f"{_fmt(t)},{_fmt(g)},{_fmt(ag)}" for t, g, ag in rows]
-        _write_atomic(os.path.join(args.out, f"equilibration_{label}.csv"),
-                      "\n".join(lines) + "\n")
+        path = os.path.join(args.out, f"equilibration_{label}.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("t,gamma_hat,alpha_gamma_hat\n")
+            for row in rows:
+                fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 if __name__ == "__main__":

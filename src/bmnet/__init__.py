@@ -7,10 +7,9 @@ from .distributions import (GIGaParams, LNParams, giga_cdf, giga_logpdf,
                             stationary_giga, theta_of_gamma,
                             transient_lognormal_J0)
 from .engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
-                     NetworkDynamics, NoiseIncrement, SimConfig, Snapshot,
-                     WealthState, eft_drift, interaction_drift, mf_drift,
-                     milstein_step, simulate, step_noise,
-                     strong_convergence_study, taylor15_step, to_unscaled)
+                     NetworkDynamics, SimConfig, Snapshot, milstein_step,
+                     simulate, step_noise, strong_convergence_study,
+                     taylor15_step, to_unscaled)
 from .errors import ConfigError, DegenerateSampleError, PositivityError
 from .fitting import (FitReport, fit_giga, fit_iga, fit_lognormal,
                       gamma_shape_scale_mle)
@@ -24,9 +23,8 @@ __all__ = [
     "ln_mean", "ln_pdf", "ln_sample", "stationary_giga", "theta_of_gamma",
     "transient_lognormal_J0",
     "EFTDynamics", "MeanFieldDynamics", "ModelParams", "NetworkDynamics",
-    "NoiseIncrement", "SimConfig", "Snapshot", "WealthState", "eft_drift",
-    "interaction_drift", "mf_drift", "milstein_step", "simulate",
-    "step_noise", "strong_convergence_study", "taylor15_step", "to_unscaled",
+    "SimConfig", "Snapshot", "milstein_step", "simulate", "step_noise",
+    "strong_convergence_study", "taylor15_step", "to_unscaled",
     "ConfigError", "DegenerateSampleError", "PositivityError",
     "FitReport", "fit_giga", "fit_iga", "fit_lognormal",
     "gamma_shape_scale_mle",

@@ -11,9 +11,10 @@ limit (f_i = J (wbar - w_i)), or the decoupled effective-field form
 exp(sigma^2 t) growth of the raw wealth, which :func:`to_unscaled`
 restores.
 
-Two strong integrators are provided: Milstein (order 1.0) and the order
-1.5 strong Taylor scheme for diagonal multiplicative noise, the latter
-using analytic drift Jacobian contractions supplied by the dynamics.
+Each dynamics class holds the one implementation of its drift, and the
+analytic drift Jacobian contractions of the order-1.5 scheme.  Both
+strong integrators for diagonal noise, Milstein (order 1.0) and the
+order 1.5 strong Taylor scheme, take the dynamics and share one loop.
 
 Noise is counter-based: the Gaussian increments of step k come from a
 Philox stream keyed by the run seed with the step index in the counter,
@@ -69,25 +70,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class WealthState:
-    """The wealth vector at one instant.  All entries must stay positive."""
-
-    t: float
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.w.size
-
-    @property
-    def mean_w(self) -> float:
-        return float(self.w.mean())
-
-
-@dataclass(frozen=True)
 class Snapshot:
     """Immutable copy of the wealth vector at a requested time."""
 
@@ -98,77 +80,24 @@ class Snapshot:
         self.w.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Wiener increments for one step.
-
-    dB has variance dt per agent.  dZ, needed only by the order-1.5
-    scheme, is the time integral of the Brownian bridge over the step:
-    Var(dZ) = dt^3/3 and Cov(dB, dZ) = dt^2/2.
-    """
-
-    dB: np.ndarray
-    dZ: np.ndarray | None = None
-
-
 def step_noise(seed: int, step: int, n: int, dt: float,
-               with_dz: bool = False) -> NoiseIncrement:
-    """Counter-based Gaussian increments for one step of n agents.
+               with_dz: bool = False) -> tuple:
+    """Counter-based Wiener increments (dB, dZ) for one step of n agents.
 
-    A fresh Philox generator is built at counter (lane 0, step), so the
-    stream is a pure function of (seed, step) and the dB values are
-    identical whether or not dZ is requested.
+    dB has variance dt.  dZ (None unless ``with_dz``; only the order-1.5
+    scheme needs it) integrates over the step the Brownian increment
+    since its start: Var(dZ) = dt^3/3, Cov(dB, dZ) = dt^2/2.  A fresh
+    Philox generator is built at counter (lane 0, step), so the stream
+    is a pure function of (seed, step) and the dB values are identical
+    whether or not dZ is requested.
     """
     gen = np.random.Generator(np.random.Philox(
         counter=[0, 0, _NOISE_LANE, step], key=np.uint64(seed)))
     if with_dz:
         z = gen.standard_normal((2, n))
-        db = math.sqrt(dt) * z[0]
-        dz = 0.5 * dt ** 1.5 * (z[0] + z[1] / math.sqrt(3.0))
-        return NoiseIncrement(dB=db, dZ=dz)
-    return NoiseIncrement(dB=math.sqrt(dt) * gen.standard_normal(n))
-
-
-def interaction_drift(w: np.ndarray, topology: NetworkTopology,
-                      J: float) -> np.ndarray:
-    """Pairwise exchange drift f_i = (J/n) sum over neighbors of (w_j - w_i).
-
-    Isolated agents get zero drift.  The coupling matrix is symmetric,
-    so the drift sums to zero over the ensemble.  Evaluated by the same
-    operator :class:`NetworkDynamics` integrates with.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.size != topology.N:
-        raise ValueError(
-            f"state size {w.size} does not match topology N={topology.N}")
-    if not topology.n_divisor > 0:
-        raise ValueError("topology has n_divisor = 0; no coupling defined")
-    return NetworkDynamics(topology)._apply(w, J)
-
-
-def mf_drift(w: np.ndarray, J: float) -> np.ndarray:
-    """Mean-field drift f_i = J (wbar - w_i) with wbar the ensemble mean."""
-    w = np.asarray(w, dtype=float)
-    if w.size == 0:
-        raise ValueError("empty state")
-    return J * (w.mean() - w)
-
-
-def eft_drift(w: np.ndarray, J: float, gamma_eft: float,
-              theta: float) -> np.ndarray:
-    """Effective-field drift f_i = J (theta w_i**(1-gamma) - w_i).
-
-    Replaces the local neighbor average by theta * w**(1-gamma), which
-    decouples the agents.
-    """
-    if not 0 < gamma_eft <= 1:
-        raise ValueError(f"gamma_eft must lie in (0, 1], got {gamma_eft}")
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("fractional power drift needs positive wealth")
-    return J * (theta * w ** (1.0 - gamma_eft) - w)
+        return (math.sqrt(dt) * z[0],
+                0.5 * dt ** 1.5 * (z[0] + z[1] / math.sqrt(3.0)))
+    return math.sqrt(dt) * gen.standard_normal(n), None
 
 
 class NetworkDynamics:
@@ -242,7 +171,7 @@ class MeanFieldDynamics:
     kind = "meanfield"
 
     def drift(self, w, params: ModelParams) -> np.ndarray:
-        return mf_drift(w, params.J)
+        return params.J * (w.mean() - w)
 
     def jacobian_apply(self, w, v, params: ModelParams) -> np.ndarray:
         return params.J * (v.mean() - v)
@@ -263,6 +192,8 @@ class EFTDynamics:
     def __init__(self, gamma_eft: float, theta: float | None = None):
         if not 0 < gamma_eft <= 1:
             raise ValueError(f"gamma_eft must lie in (0, 1], got {gamma_eft}")
+        if theta is not None and not theta > 0:
+            raise ValueError(f"theta must be positive, got {theta}")
         self.gamma_eft = gamma_eft
         self.theta = theta
         self._theta_params = None
@@ -276,7 +207,9 @@ class EFTDynamics:
         return self._theta_params[1]
 
     def drift(self, w, params: ModelParams) -> np.ndarray:
-        return eft_drift(w, params.J, self.gamma_eft, self._theta(params))
+        # w > 0 here: every step checks positivity before the next drift
+        th = self._theta(params)
+        return params.J * (th * w ** (1.0 - self.gamma_eft) - w)
 
     def jacobian_apply(self, w, v, params: ModelParams) -> np.ndarray:
         g = self.gamma_eft
@@ -291,25 +224,26 @@ class EFTDynamics:
         return f * fp + params.sigma2 * w * w * fpp
 
 
-def milstein_step(state: WealthState, drift: np.ndarray, sigma: float,
-                  dt: float, noise: NoiseIncrement) -> WealthState:
-    """One Milstein step: Euler-Maruyama plus sigma^2 w (dB^2 - dt)."""
+def milstein_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
+                  dt: float, dB: np.ndarray, dZ=None) -> np.ndarray:
+    """One Milstein step from w at time t: Euler-Maruyama plus
+    sigma^2 w (dB^2 - dt).  dZ is unused; both schemes share one call."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    w = state.w
-    db = noise.dB
-    if db.size != w.size:
+    if dB.size != w.size:
         raise ValueError("noise dimension does not match state")
-    w_new = (w + drift * dt + math.sqrt(2.0) * sigma * w * db
-             + sigma * sigma * w * (db * db - dt))
-    _check_positive_state(w_new, state.t + dt)
-    return WealthState(t=state.t + dt, w=w_new)
+    sigma = params.sigma
+    drift = dynamics.drift(w, params)
+    w_new = (w + drift * dt + math.sqrt(2.0) * sigma * w * dB
+             + sigma * sigma * w * (dB * dB - dt))
+    _check_positive_state(w_new, t + dt)
+    return w_new
 
 
-def taylor15_step(state: WealthState, dynamics, params: ModelParams,
-                  dt: float, noise: NoiseIncrement) -> WealthState:
+def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
+                  dt: float, dB: np.ndarray, dZ) -> np.ndarray:
     """One step of the order-1.5 strong Taylor scheme for diagonal noise
-    g_i = sqrt(2) sigma w_i.
+    g_i = sqrt(2) sigma w_i, from w at time t.
 
     On top of the Milstein update this adds the mixed Brownian-time
     terms, using the drift Jacobian and generator contractions supplied
@@ -317,24 +251,22 @@ def taylor15_step(state: WealthState, dynamics, params: ModelParams,
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if noise.dZ is None:
+    if dZ is None:
         raise ValueError("order-1.5 scheme needs the auxiliary dZ increment")
-    w = state.w
-    db, dz = noise.dB, noise.dZ
-    if db.size != w.size:
+    if dB.size != w.size:
         raise ValueError("noise dimension does not match state")
     sig = params.sigma
     sq2sig = math.sqrt(2.0) * sig
     f = dynamics.drift(w, params)
     w_new = (
-        w + f * dt + sq2sig * w * db + sig * sig * w * (db * db - dt)
-        + sq2sig * dynamics.jacobian_apply(w, w * dz, params)
+        w + f * dt + sq2sig * w * dB + sig * sig * w * (dB * dB - dt)
+        + sq2sig * dynamics.jacobian_apply(w, w * dZ, params)
         + 0.5 * dynamics.l0_drift(w, f, params) * dt * dt
-        + sq2sig * f * (db * dt - dz)
-        + math.sqrt(2.0) * sig ** 3 * w * (db * db / 3.0 - dt) * db
+        + sq2sig * f * (dB * dt - dZ)
+        + math.sqrt(2.0) * sig ** 3 * w * (dB * dB / 3.0 - dt) * dB
     )
-    _check_positive_state(w_new, state.t + dt)
-    return WealthState(t=state.t + dt, w=w_new)
+    _check_positive_state(w_new, t + dt)
+    return w_new
 
 
 def _check_positive_state(w: np.ndarray, t: float) -> None:
@@ -414,18 +346,40 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
 
-def initial_state(config: SimConfig) -> WealthState:
+def initial_state(config: SimConfig) -> np.ndarray:
     """Initial wealth vector: all ones, or a narrow Gaussian around one
     (resampled until positive), drawn from a dedicated Philox lane."""
     if config.init == INIT_ONES:
-        return WealthState(t=0.0, w=np.ones(config.N))
+        return np.ones(config.N)
     gen = np.random.Generator(np.random.Philox(
         counter=[0, 0, _INIT_LANE, 0], key=np.uint64(config.seed)))
     w = 1.0 + config.init_sd * gen.standard_normal(config.N)
-    while np.any(w <= 0):
-        bad = w <= 0
+    while (bad := w <= 0).any():
         w[bad] = 1.0 + config.init_sd * gen.standard_normal(int(bad.sum()))
-    return WealthState(t=0.0, w=w)
+    return w
+
+
+def _step_loop(w: np.ndarray, dynamics, params: ModelParams, scheme: str,
+               dt: float, n_steps: int, noise, after_step=None) -> np.ndarray:
+    """Advance w from t = 0 by n_steps steps of size dt; return the result.
+
+    ``noise(k)`` gives step k's (dB, dZ); ``after_step(k, w)`` sees the
+    state after k steps.  The step functions are module globals read at
+    call time, so wrappers installed on this module see every step.
+    """
+    step = milstein_step if scheme == MILSTEIN else taylor15_step
+    t = 0.0
+    for k in range(n_steps):
+        db, dz = noise(k)
+        try:
+            w = step(w, t, dynamics, params, dt, db, dz)
+        except PositivityError as err:
+            err.step = k
+            raise
+        t += dt
+        if after_step is not None:
+            after_step(k + 1, w)
+    return w
 
 
 def simulate(config: SimConfig) -> list:
@@ -436,35 +390,27 @@ def simulate(config: SimConfig) -> list:
     the snapshots emitted so far and the failing step index.
     """
     config.validate()
-    snap_steps = config.snapshot_steps()
     wanted = {}
-    for k, t in zip(snap_steps, config.snapshot_times):
+    for k, t in zip(config.snapshot_steps(), config.snapshot_times):
         wanted.setdefault(k, []).append(t)
-
-    state = initial_state(config)
     snapshots = []
-    if 0 in wanted:
-        for t in wanted[0]:
-            snapshots.append(Snapshot(t=t, w=state.w.copy()))
 
-    params = config.params
-    dyn = config.dynamics
+    def record(k, w):
+        for t in wanted.get(k, ()):
+            snapshots.append(Snapshot(t=t, w=w.copy()))
+
+    w = initial_state(config)
+    record(0, w)
     with_dz = config.scheme == TAYLOR15
-    for k in range(config.n_steps):
-        noise = step_noise(config.seed, k, config.N, config.dt, with_dz=with_dz)
-        try:
-            if config.scheme == MILSTEIN:
-                f = dyn.drift(state.w, params)
-                state = milstein_step(state, f, params.sigma, config.dt, noise)
-            else:
-                state = taylor15_step(state, dyn, params, config.dt, noise)
-        except PositivityError as err:
-            err.step = k
-            err.snapshots = snapshots
-            raise
-        if k + 1 in wanted:
-            for t in wanted[k + 1]:
-                snapshots.append(Snapshot(t=t, w=state.w.copy()))
+    try:
+        _step_loop(w, config.dynamics, config.params, config.scheme,
+                   config.dt, config.n_steps,
+                   lambda k: step_noise(config.seed, k, config.N, config.dt,
+                                        with_dz=with_dz),
+                   record)
+    except PositivityError as err:
+        err.snapshots = snapshots
+        raise
     return snapshots
 
 
@@ -504,7 +450,6 @@ def strong_convergence_study(scheme: str, dts, n_paths: int, seed: int,
     w_exact = np.exp(math.sqrt(2.0) * sigma * b_total - sigma * sigma * t_end)
 
     params = ModelParams(sigma=sigma, J=0.0)
-    dyn = MeanFieldDynamics()
     errors = []
     for d in dts:
         m = int(round(d / dt_fine))
@@ -515,15 +460,9 @@ def strong_convergence_study(scheme: str, dts, n_paths: int, seed: int,
         # integral of accumulated within-block dB over the block
         prefix = np.cumsum(db_blk, axis=1) - db_blk
         dz = dz_blk.sum(axis=1) + dt_fine * prefix.sum(axis=1)
-        state = WealthState(t=0.0, w=np.ones(n_paths))
-        for k in range(k_steps):
-            noise = NoiseIncrement(dB=db[k], dZ=dz[k])
-            if scheme == MILSTEIN:
-                f = dyn.drift(state.w, params)
-                state = milstein_step(state, f, sigma, d, noise)
-            else:
-                state = taylor15_step(state, dyn, params, d, noise)
-        errors.append(float(np.mean(np.abs(state.w - w_exact))))
+        w = _step_loop(np.ones(n_paths), MeanFieldDynamics(), params, scheme,
+                       d, k_steps, lambda k: (db[k], dz[k]))
+        errors.append(float(np.mean(np.abs(w - w_exact))))
 
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return {"scheme": scheme, "dts": list(dts), "strong_errors": errors,

@@ -342,7 +342,7 @@ def test_criterion_10_equilibration_ordering(rann_trajectory, regn_trajectory):
 # -- criterion 11: conservation -------------------------------------------------
 
 def test_criterion_11a_drift_conservation():
-    from bmnet.engine import interaction_drift
+    params = ModelParams.from_sigma2(0.05, 0.1)
     rng = np.random.default_rng(0)
     worst = 0.0
     for trial in range(30):
@@ -358,7 +358,7 @@ def test_criterion_11a_drift_conservation():
             if top.n_divisor == 0:
                 continue
         w = rng.gamma(2.0, 1.0, top.N) + 1e-4
-        f = interaction_drift(w, top, 0.1)
+        f = NetworkDynamics(top).drift(w, params)
         bound = top.N * np.finfo(float).eps * np.abs(w).max()
         worst = max(worst, abs(f.sum()) / bound)
         assert abs(f.sum()) <= bound

@@ -176,11 +176,12 @@ class TestSimulateCommand:
                             "snapshot_times = 0, 1")
         text = text.replace("seed = 42", "seed = 12\ninit = gaussian:0.4")
         path = write_config(tmp_path, text)
-        assert cli.main(["simulate", "--config", path,
-                         "--out", str(tmp_path / "x")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: wealth became")
-        assert "(step 0)" in err
+        for command in ("simulate", "evolve"):
+            assert cli.main([command, "--config", path,
+                             "--out", str(tmp_path / command)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: wealth became")
+            assert "(step 0)" in err
 
 
 class TestEvolveCommand:

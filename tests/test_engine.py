@@ -1,6 +1,7 @@
 """Drift operators, integrator steps, noise streams and full runs."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from bmnet import engine
 from bmnet.engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
-                          NetworkDynamics, NoiseIncrement, SimConfig,
-                          WealthState, eft_drift, interaction_drift, mf_drift,
-                          milstein_step, simulate, step_noise,
-                          strong_convergence_study, taylor15_step, to_unscaled)
+                          NetworkDynamics, SimConfig, milstein_step, simulate,
+                          step_noise, strong_convergence_study, taylor15_step,
+                          to_unscaled)
 from bmnet.errors import PositivityError
 from bmnet.gof import ks_statistic
 from bmnet.topology import (build_complete, build_random_smallworld,
@@ -22,32 +23,43 @@ from bmnet.topology import (build_complete, build_random_smallworld,
 BASE_PARAMS = ModelParams.from_sigma2(0.05, 0.1)
 
 
+class FixedDrift:
+    """Dynamics stub whose drift is a given array, whatever the state."""
+
+    def __init__(self, f):
+        self.f = np.asarray(f, dtype=float)
+
+    def drift(self, w, params):
+        return self.f
+
+
+def network_drift(w, top):
+    return NetworkDynamics(top).drift(np.asarray(w, dtype=float), BASE_PARAMS)
+
+
 class TestInteractionDrift:
     def test_uniform_wealth_gives_zero(self):
-        top = build_complete(8)
-        f = interaction_drift(np.ones(8), top, 0.1)
+        f = network_drift(np.ones(8), build_complete(8))
         assert np.allclose(f, 0.0, atol=1e-15)
 
     def test_pair_exchange(self):
-        top = build_complete(2)
-        f = interaction_drift(np.array([2.0, 0.0]), top, 0.1)
+        f = network_drift([2.0, 0.0], build_complete(2))
         assert f == pytest.approx([-0.1, 0.1])
 
     def test_ring_hand_evaluation(self):
-        top = build_regular_ring(4, 2)
-        f = interaction_drift(np.array([1.0, 2.0, 3.0, 4.0]), top, 0.1)
+        f = network_drift([1.0, 2.0, 3.0, 4.0], build_regular_ring(4, 2))
         assert f == pytest.approx([0.2, 0.0, 0.0, -0.2])
         assert f.sum() == pytest.approx(0.0, abs=1e-15)
 
     def test_isolated_agents_get_zero(self):
-        top = build_random_smallworld(30, 0.0, seed=1)
-        # n_divisor is zero here: coupling undefined
-        with pytest.raises(ValueError):
-            interaction_drift(np.ones(30), top, 0.1)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            interaction_drift(np.ones(5), build_complete(4), 0.1)
+        # mean degree 1.5: some agents have no neighbor at all
+        top = build_random_smallworld(30, 0.05, seed=1)
+        isolated = top.degrees == 0
+        assert isolated.any() and not isolated.all()
+        w = np.random.default_rng(1).gamma(2.0, 1.0, 30) + 1e-3
+        f = network_drift(w, top)
+        assert np.all(f[isolated] == 0.0)
+        assert np.all(f[~isolated] != 0.0)
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=25, deadline=None)
@@ -65,7 +77,7 @@ class TestInteractionDrift:
             if top.n_divisor == 0:
                 return
         w = rng.gamma(3.0, 0.4, top.N) + 1e-3
-        f = interaction_drift(w, top, 0.1)
+        f = network_drift(w, top)
         assert abs(f.sum()) <= top.N * np.finfo(float).eps * np.abs(w).max()
 
     def test_fast_complete_path_matches_edge_sum(self):
@@ -76,7 +88,7 @@ class TestInteractionDrift:
         explicit = np.array([
             (0.1 / top.n_divisor) * np.sum(w[top.neighbors(i)] - w[i])
             for i in range(top.N)])
-        assert np.allclose(interaction_drift(w, top, 0.1), explicit,
+        assert np.allclose(network_drift(w, top), explicit,
                            rtol=1e-12, atol=1e-14)
 
 
@@ -123,16 +135,19 @@ class TestRingOperator:
 
 class TestMeanFieldDrift:
     def test_uniform_is_fixed(self):
-        assert np.allclose(mf_drift(np.full(5, 3.3), 0.1), 0.0)
+        f = MeanFieldDynamics().drift(np.full(5, 3.3), BASE_PARAMS)
+        assert np.allclose(f, 0.0)
 
     def test_direct_substitution(self):
-        assert mf_drift(np.array([0.0, 2.0]), 0.1) == pytest.approx([0.1, -0.1])
+        f = MeanFieldDynamics().drift(np.array([0.0, 2.0]), BASE_PARAMS)
+        assert f == pytest.approx([0.1, -0.1])
 
     def test_matches_complete_network_within_bound(self):
         rng = np.random.default_rng(11)
         w = rng.gamma(3.0, 1.0, 1000)
         top = build_complete(1000)
-        diff = np.abs(mf_drift(w, 0.1) - interaction_drift(w, top, 0.1))
+        diff = np.abs(MeanFieldDynamics().drift(w, BASE_PARAMS)
+                      - network_drift(w, top))
         bound = 0.1 * np.abs(w - w.mean()).max() / 1000
         assert diff.max() <= bound + 1e-15
 
@@ -140,52 +155,58 @@ class TestMeanFieldDrift:
 class TestEFTDrift:
     def test_mean_field_endpoint(self):
         w = np.array([0.5, 1.0, 2.0])
-        assert eft_drift(w, 0.1, 1.0, 1.0) == pytest.approx(0.1 * (1.0 - w))
+        f = EFTDynamics(1.0, theta=1.0).drift(w, BASE_PARAMS)
+        assert f == pytest.approx(0.1 * (1.0 - w))
 
     def test_deterministic_fixed_point(self):
         theta, gamma = 1.3, 0.4
         w_star = theta ** (1.0 / gamma)
-        f = eft_drift(np.array([w_star]), 0.1, gamma, theta)
+        f = EFTDynamics(gamma, theta=theta).drift(np.array([w_star]),
+                                                  BASE_PARAMS)
         assert f == pytest.approx([0.0], abs=1e-14)
 
     def test_arithmetic_example(self):
         theta = 0.25 * math.sqrt(20.0)  # unit-mean normalizer at gamma=0.5
-        f = eft_drift(np.array([4.0]), 0.1, 0.5, theta)
+        f = EFTDynamics(0.5, theta=theta).drift(np.array([4.0]), BASE_PARAMS)
         assert f[0] == pytest.approx(-0.17639320225002103, rel=1e-12)
 
-    def test_rejects_nonpositive_wealth(self):
-        with pytest.raises(ValueError):
-            eft_drift(np.array([1.0, 0.0]), 0.1, 0.5, 1.1)
+    def test_rejects_nonpositive_theta(self):
+        for theta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="theta"):
+                EFTDynamics(0.5, theta=theta)
 
 
 class TestMilsteinStep:
     def test_noise_free_reduction(self):
         w = np.array([0.5, 1.0, 2.0])
-        state = WealthState(0.0, w)
         f = np.array([0.1, -0.2, 0.0])
         dt = 0.01
-        out = milstein_step(state, f, BASE_PARAMS.sigma, dt,
-                            NoiseIncrement(dB=np.zeros(3)))
-        assert out.w == pytest.approx(w + f * dt - 0.05 * w * dt)
-        assert out.t == pytest.approx(dt)
+        out = milstein_step(w, 0.0, FixedDrift(f), BASE_PARAMS, dt,
+                            np.zeros(3))
+        assert out == pytest.approx(w + f * dt - 0.05 * w * dt)
 
     def test_frozen_arithmetic(self):
         # w=1, f=0, sigma^2=0.05, dt=0.01, dB=0.1:
         # dw = sqrt(0.1)*0.1 + 0.05*(0.01 - 0.01) = 0.0316227766...
-        state = WealthState(0.0, np.array([1.0]))
-        out = milstein_step(state, np.zeros(1), BASE_PARAMS.sigma, 0.01,
-                            NoiseIncrement(dB=np.array([0.1])))
-        assert out.w[0] - 1.0 == pytest.approx(0.0316227766016838, rel=1e-12)
+        out = milstein_step(np.array([1.0]), 0.0, MeanFieldDynamics(),
+                            BASE_PARAMS, 0.01, np.array([0.1]))
+        assert out[0] - 1.0 == pytest.approx(0.0316227766016838, rel=1e-12)
 
     def test_positivity_violation_raises_with_index(self):
         # a pathologically large mean-reverting kick drives agent 1 negative
-        state = WealthState(0.0, np.array([0.1, 10.0]))
-        f = mf_drift(state.w, 5.0)
+        params = ModelParams(sigma=BASE_PARAMS.sigma, J=5.0)
         with pytest.raises(PositivityError) as err:
-            milstein_step(state, f, BASE_PARAMS.sigma, 0.5, NoiseIncrement(np.zeros(2)))
+            milstein_step(np.array([0.1, 10.0]), 1.5, MeanFieldDynamics(),
+                          params, 0.5, np.zeros(2))
         assert err.value.agent == 1
+        assert err.value.t == 2.0
         assert err.value.finite
         assert "non-positive" in str(err.value)
+
+    def test_rejects_mismatched_noise(self):
+        with pytest.raises(ValueError):
+            milstein_step(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
+                          0.01, np.zeros(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -193,15 +214,15 @@ class TestMilsteinStep:
 def test_non_finite_state_raises(bad, scheme):
     # NaN fails every comparison, so a plain w <= 0 test lets it through
     w = np.array([1.0, 0.9, bad, 1.1])
-    state = WealthState(0.0, w)
-    noise = step_noise(2, 0, 4, 0.01, with_dz=True)
-    dyn = MeanFieldDynamics()
+    db, dz = step_noise(2, 0, 4, 0.01, with_dz=True)
     with pytest.raises(PositivityError) as err, \
             np.errstate(invalid="ignore", over="ignore"):
         if scheme == "milstein":
-            milstein_step(state, np.zeros(4), BASE_PARAMS.sigma, 0.01, noise)
+            milstein_step(w, 0.0, FixedDrift(np.zeros(4)), BASE_PARAMS, 0.01,
+                          db, dz)
         else:
-            taylor15_step(state, dyn, BASE_PARAMS, 0.01, noise)
+            taylor15_step(w, 0.0, MeanFieldDynamics(), BASE_PARAMS, 0.01,
+                          db, dz)
     assert not err.value.finite
     assert "non-finite" in str(err.value)
     # milstein leaves the other agents finite; taylor15's mean-field
@@ -211,10 +232,9 @@ def test_non_finite_state_raises(bad, scheme):
 
 class TestTaylor15Step:
     def test_requires_dz(self):
-        state = WealthState(0.0, np.ones(3))
         with pytest.raises(ValueError):
-            taylor15_step(state, MeanFieldDynamics(), BASE_PARAMS, 0.01,
-                          NoiseIncrement(dB=np.zeros(3)))
+            taylor15_step(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
+                          0.01, np.zeros(3), None)
 
     def test_noise_free_second_order_reduction(self):
         # sigma -> 0: w + f dt + (1/2) (Jacobian f) dt^2
@@ -222,11 +242,10 @@ class TestTaylor15Step:
         dyn = MeanFieldDynamics()
         w = np.array([0.5, 1.0, 2.0, 4.0])
         dt = 0.1
-        out = taylor15_step(WealthState(0.0, w), dyn, params, dt,
-                            NoiseIncrement(np.zeros(4), np.zeros(4)))
+        out = taylor15_step(w, 0.0, dyn, params, dt, np.zeros(4), np.zeros(4))
         f = dyn.drift(w, params)
         expected = w + f * dt + 0.5 * dyn.jacobian_apply(w, f, params) * dt * dt
-        assert out.w == pytest.approx(expected, rel=1e-12)
+        assert out == pytest.approx(expected, rel=1e-12)
 
     def test_agrees_with_milstein_to_order_three_halves(self):
         # the scheme difference must shrink as dt^(3/2) on shared noise
@@ -237,11 +256,9 @@ class TestTaylor15Step:
             diffs = []
             for seed in range(120):
                 w = rng.gamma(3.0, 0.4, 50) + 0.05
-                state = WealthState(0.0, w)
-                noise = step_noise(seed, 0, 50, dt, with_dz=True)
-                f = dyn.drift(w, BASE_PARAMS)
-                a = milstein_step(state, f, BASE_PARAMS.sigma, dt, noise).w
-                b = taylor15_step(state, dyn, BASE_PARAMS, dt, noise).w
+                db, dz = step_noise(seed, 0, 50, dt, with_dz=True)
+                a = milstein_step(w, 0.0, dyn, BASE_PARAMS, dt, db, dz)
+                b = taylor15_step(w, 0.0, dyn, BASE_PARAMS, dt, db, dz)
                 diffs.append(np.max(np.abs(a - b)))
             mean_diff[dt] = np.mean(diffs)
         r1 = mean_diff[0.02] / mean_diff[0.01]
@@ -275,9 +292,9 @@ class TestNoiseStreams:
         dt = 0.04
         db_all, dz_all = [], []
         for step in range(400):
-            noise = step_noise(9, step, 256, dt, with_dz=True)
-            db_all.append(noise.dB)
-            dz_all.append(noise.dZ)
+            db, dz = step_noise(9, step, 256, dt, with_dz=True)
+            db_all.append(db)
+            dz_all.append(dz)
         db = np.concatenate(db_all)
         dz = np.concatenate(dz_all)
         n = db.size
@@ -287,18 +304,19 @@ class TestNoiseStreams:
         assert cov == pytest.approx(dt ** 2 / 2.0, rel=0.03)
 
     def test_db_identical_with_and_without_dz(self):
-        a = step_noise(5, 17, 64, 0.01, with_dz=False)
-        b = step_noise(5, 17, 64, 0.01, with_dz=True)
-        assert np.array_equal(a.dB, b.dB)
+        db_a, dz_a = step_noise(5, 17, 64, 0.01, with_dz=False)
+        db_b, dz_b = step_noise(5, 17, 64, 0.01, with_dz=True)
+        assert dz_a is None and dz_b.shape == (64,)
+        assert np.array_equal(db_a, db_b)
 
     def test_steps_are_independent_streams(self):
-        a = step_noise(5, 0, 32, 0.01)
-        b = step_noise(5, 1, 32, 0.01)
-        assert not np.array_equal(a.dB, b.dB)
+        a, _ = step_noise(5, 0, 32, 0.01)
+        b, _ = step_noise(5, 1, 32, 0.01)
+        assert not np.array_equal(a, b)
 
     def test_pure_function_of_seed_and_step(self):
-        assert np.array_equal(step_noise(7, 3, 16, 0.01).dB,
-                              step_noise(7, 3, 16, 0.01).dB)
+        assert np.array_equal(step_noise(7, 3, 16, 0.01)[0],
+                              step_noise(7, 3, 16, 0.01)[0])
 
 
 def _mf_config(**kw):
@@ -329,6 +347,11 @@ class TestSimulate:
     def test_misaligned_snapshot_rejected(self):
         with pytest.raises(ValueError):
             simulate(_mf_config(snapshot_times=(0.005,)))
+
+    def test_topology_size_mismatch_rejected(self):
+        cfg = _mf_config(dynamics=NetworkDynamics(build_complete(4)), N=5)
+        with pytest.raises(ValueError, match="does not match"):
+            simulate(cfg)
 
     def test_zero_divisor_network_rejected(self):
         top = build_random_smallworld(50, 0.0, seed=2)
@@ -427,3 +450,44 @@ class TestConvergenceStudy:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             strong_convergence_study("heun", [0.1], 10, seed=0)
+
+
+class TestStepSeams:
+    """Every step goes through the module globals ``step_noise``,
+    ``milstein_step`` and ``taylor15_step``, which the benchmark's tracer
+    replaces with timed wrappers."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {}
+        for name in ("step_noise", "milstein_step", "taylor15_step"):
+            log = calls[name] = []
+
+            def counted(*args, _fn=getattr(engine, name), _log=log, **kw):
+                _log.append(args)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(engine, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
+    def test_simulate_calls_each_seam_once_per_step(self, monkeypatch,
+                                                    scheme):
+        calls = self._count_calls(monkeypatch)
+        cfg = _mf_config(scheme=scheme, t_end=0.5, snapshot_times=(0.5,))
+        simulate(cfg)
+        other = "taylor15_step" if scheme == "milstein" else "milstein_step"
+        assert len(calls["step_noise"]) == cfg.n_steps == 50
+        assert [a[1] for a in calls["step_noise"]] == list(range(50))
+        assert len(calls[f"{scheme}_step"]) == cfg.n_steps
+        assert calls[other] == []
+
+    @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
+    def test_convergence_study_steps_through_seams(self, monkeypatch, scheme):
+        calls = self._count_calls(monkeypatch)
+        dts = [2.0 ** -k for k in range(4, 7)]
+        strong_convergence_study(scheme, dts, 20, seed=1)
+        other = "taylor15_step" if scheme == "milstein" else "milstein_step"
+        # positional arguments: (w, t, dynamics, params, dt, dB, dZ)
+        per_dt = Counter(args[4] for args in calls[f"{scheme}_step"])
+        assert per_dt == {d: round(1.0 / d) for d in dts}
+        assert calls["step_noise"] == [] and calls[other] == []
