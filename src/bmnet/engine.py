@@ -19,7 +19,8 @@ order 1.5 strong Taylor scheme, take the dynamics and share one loop.
 Noise is counter-based: the Gaussian increments of step k come from a
 Philox stream keyed by the run seed with the step index in the counter,
 so a simulation is a pure function of its config no matter how the work
-is scheduled.
+is scheduled.  A run builds one generator and moves it to each step's
+counter.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .distributions import theta_of_gamma
 from .errors import PositivityError
@@ -80,24 +82,63 @@ class Snapshot:
         self.w.setflags(write=False)
 
 
+class NoiseGenerator:
+    """One reusable Philox generator for the noise lane of one seed.
+
+    ``at(step)`` moves it to counter (lane 0, step) with an empty buffer,
+    the state that a fresh ``Philox(counter=[0, 0, 0, step], key=seed)``
+    starts in, so its draws equal a fresh generator's bit for bit.  Only
+    the counter word of a state dict read once at construction changes,
+    which costs a fraction of building a generator.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._bitgen = np.random.Philox(counter=[0, 0, _NOISE_LANE, 0],
+                                        key=np.uint64(seed))
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state
+        self._counter = self._state["state"]["counter"]
+
+    def at(self, step: int) -> np.random.Generator:
+        self._counter[3] = step
+        self._bitgen.state = self._state
+        return self._gen
+
+
 def step_noise(seed: int, step: int, n: int, dt: float,
-               with_dz: bool = False) -> tuple:
+               with_dz: bool = False, gen: NoiseGenerator | None = None
+               ) -> tuple:
     """Counter-based Wiener increments (dB, dZ) for one step of n agents.
 
     dB has variance dt.  dZ (None unless ``with_dz``; only the order-1.5
     scheme needs it) integrates over the step the Brownian increment
-    since its start: Var(dZ) = dt^3/3, Cov(dB, dZ) = dt^2/2.  A fresh
-    Philox generator is built at counter (lane 0, step), so the stream
-    is a pure function of (seed, step) and the dB values are identical
-    whether or not dZ is requested.
+    since its start: Var(dZ) = dt^3/3, Cov(dB, dZ) = dt^2/2.  The draws
+    come from a Philox generator at counter (lane 0, step) keyed by the
+    seed: ``gen``, a :class:`NoiseGenerator` for the same seed moved to
+    that counter, or else a freshly built one.  Either way the stream is
+    a pure function of (seed, step), and the dB values are identical
+    whether or not dZ is requested.  Both arrays are new on every call.
     """
-    gen = np.random.Generator(np.random.Philox(
-        counter=[0, 0, _NOISE_LANE, step], key=np.uint64(seed)))
+    if gen is None:
+        rng = np.random.Generator(np.random.Philox(
+            counter=[0, 0, _NOISE_LANE, step], key=np.uint64(seed)))
+    elif gen.seed != seed:
+        raise ValueError(
+            f"noise generator has seed {gen.seed}, not {seed}")
+    else:
+        rng = gen.at(step)
+    # products and sums below are commutative, so the in-place forms
+    # give the same bits as sqrt(dt) * z and (0.5 dt^1.5)(z0 + z1/sqrt(3))
     if with_dz:
-        z = gen.standard_normal((2, n))
-        return (math.sqrt(dt) * z[0],
-                0.5 * dt ** 1.5 * (z[0] + z[1] / math.sqrt(3.0)))
-    return math.sqrt(dt) * gen.standard_normal(n), None
+        z = rng.standard_normal((2, n))
+        dz = z[1]
+        np.divide(dz, math.sqrt(3.0), dz)
+        np.add(dz, z[0], dz)
+        np.multiply(dz, 0.5 * dt ** 1.5, dz)
+        return np.multiply(z[0], math.sqrt(dt)), dz
+    z = rng.standard_normal(n)
+    return np.multiply(z, math.sqrt(dt), z), None
 
 
 class NetworkDynamics:
@@ -129,7 +170,14 @@ class NetworkDynamics:
             return (J / top.n_divisor) * (v.sum() - top.N * v)
         if top.kind == REGULAR_RING:
             return (J / top.n_divisor) * self._ring_coupling(v)
-        return (J / top.n_divisor) * (self._adj @ v - self._deg * v)
+        # y = adj @ v, by the kernel that the operator calls, without the
+        # operator's dispatch; then (J/n)(y - deg v), in place
+        adj = self._adj
+        y = np.zeros(top.N)
+        _sparsetools.csr_matvec(top.N, top.N, adj.indptr, adj.indices,
+                                adj.data, v, y)
+        np.subtract(y, np.multiply(self._deg, v), y)
+        return np.multiply(y, J / top.n_divisor, y)
 
     def _ring_coupling(self, v: np.ndarray) -> np.ndarray:
         """Neighbor sum minus n times the own value, on the ring lattice.
@@ -233,9 +281,20 @@ def milstein_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
     if dB.size != w.size:
         raise ValueError("noise dimension does not match state")
     sigma = params.sigma
-    drift = dynamics.drift(w, params)
-    w_new = (w + drift * dt + math.sqrt(2.0) * sigma * w * dB
-             + sigma * sigma * w * (dB * dB - dt))
+    f = dynamics.drift(w, params)
+    # ((w + f dt) + (c w) dB) + (s2 w)(dB^2 - dt) with c = sqrt(2) sigma
+    # and s2 = sigma^2, in that order, through two scratch arrays; the
+    # ufuncs write only into arrays made here, never into w, dB or f
+    w_new = np.multiply(f, dt)
+    np.add(w_new, w, w_new)
+    tmp = np.multiply(w, math.sqrt(2.0) * sigma)
+    np.multiply(tmp, dB, tmp)
+    np.add(w_new, tmp, w_new)
+    q = np.multiply(dB, dB)
+    np.subtract(q, dt, q)
+    np.multiply(w, sigma * sigma, tmp)
+    np.multiply(tmp, q, tmp)
+    np.add(w_new, tmp, w_new)
     _check_positive_state(w_new, t + dt)
     return w_new
 
@@ -258,20 +317,49 @@ def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
     sig = params.sigma
     sq2sig = math.sqrt(2.0) * sig
     f = dynamics.drift(w, params)
-    w_new = (
-        w + f * dt + sq2sig * w * dB + sig * sig * w * (dB * dB - dt)
-        + sq2sig * dynamics.jacobian_apply(w, w * dZ, params)
-        + 0.5 * dynamics.l0_drift(w, f, params) * dt * dt
-        + sq2sig * f * (dB * dt - dZ)
-        + math.sqrt(2.0) * sig ** 3 * w * (dB * dB / 3.0 - dt) * dB
-    )
+    jac = dynamics.jacobian_apply(w, w * dZ, params)
+    l0 = dynamics.l0_drift(w, f, params)
+    # the eight terms below are summed left to right, each evaluated in
+    # the order of the written expression
+    #   w + f dt + c w dB + s2 w (dB^2 - dt) + c Jac(w dZ) + 0.5 L0 dt dt
+    #   + c f (dB dt - dZ) + sqrt(2) sig^3 w (dB^2/3 - dt) dB
+    # (c = sqrt(2) sig, s2 = sig^2), through scratch arrays made here;
+    # w, dB, dZ and the arrays the dynamics return are only read
+    w_new = np.multiply(f, dt)
+    np.add(w_new, w, w_new)
+    tmp = np.multiply(w, sq2sig)
+    np.multiply(tmp, dB, tmp)
+    np.add(w_new, tmp, w_new)
+    dbsq = np.multiply(dB, dB)
+    u = np.subtract(dbsq, dt)
+    np.multiply(w, sig * sig, tmp)
+    np.multiply(tmp, u, tmp)
+    np.add(w_new, tmp, w_new)
+    np.multiply(jac, sq2sig, tmp)
+    np.add(w_new, tmp, w_new)
+    np.multiply(l0, 0.5, tmp)
+    np.multiply(tmp, dt, tmp)
+    np.multiply(tmp, dt, tmp)
+    np.add(w_new, tmp, w_new)
+    np.multiply(dB, dt, u)
+    np.subtract(u, dZ, u)
+    np.multiply(f, sq2sig, tmp)
+    np.multiply(tmp, u, tmp)
+    np.add(w_new, tmp, w_new)
+    np.divide(dbsq, 3.0, dbsq)
+    np.subtract(dbsq, dt, dbsq)
+    np.multiply(w, math.sqrt(2.0) * sig ** 3, tmp)
+    np.multiply(tmp, dbsq, tmp)
+    np.multiply(tmp, dB, tmp)
+    np.add(w_new, tmp, w_new)
     _check_positive_state(w_new, t + dt)
     return w_new
 
 
 def _check_positive_state(w: np.ndarray, t: float) -> None:
-    # min is NaN if any entry is NaN, and +-inf fails one comparison
-    if not (w.min() > 0 and w.max() < np.inf):
+    # argmin and argmax point at a NaN if there is one, and +-inf fails
+    # one comparison; this costs less than the min and max reductions
+    if not (w[w.argmin()] > 0 and w[w.argmax()] < np.inf):
         bad = ~np.isfinite(w) | (w <= 0)
         agent = int(np.argmax(bad))
         raise PositivityError(agent=agent, t=t,
@@ -402,11 +490,12 @@ def simulate(config: SimConfig) -> list:
     w = initial_state(config)
     record(0, w)
     with_dz = config.scheme == TAYLOR15
+    gen = NoiseGenerator(config.seed)
     try:
         _step_loop(w, config.dynamics, config.params, config.scheme,
                    config.dt, config.n_steps,
                    lambda k: step_noise(config.seed, k, config.N, config.dt,
-                                        with_dz=with_dz),
+                                        with_dz=with_dz, gen=gen),
                    record)
     except PositivityError as err:
         err.snapshots = snapshots

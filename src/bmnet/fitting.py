@@ -87,15 +87,20 @@ def _validate_samples(samples, min_n: int) -> np.ndarray:
     return x
 
 
-def fit_lognormal(samples) -> FitReport:
-    """Closed-form lognormal MLE: mu = mean(log w), s^2 = population var(log w)."""
+def _ln_mle(samples):
+    """Validated sample and its lognormal MLE parameters."""
     x = _validate_samples(samples, 2)
     log_x = np.log(x)
     mu = float(log_x.mean())
     s2 = float(log_x.var())
     if s2 <= 0.0:
         raise DegenerateSampleError("all samples equal; lognormal fit undefined")
-    params = LNParams(mu=mu, s=float(np.sqrt(s2)))
+    return x, LNParams(mu=mu, s=float(np.sqrt(s2)))
+
+
+def fit_lognormal(samples) -> FitReport:
+    """Closed-form lognormal MLE: mu = mean(log w), s^2 = population var(log w)."""
+    x, params = _ln_mle(samples)
     loglik = float(np.sum(ln_logpdf(params, x)))
     return FitReport(family="LN", params=params, loglik=loglik,
                      n=x.size, converged=True, iterations=1)
@@ -213,26 +218,25 @@ def _profile_scan(log_w: np.ndarray, mean_log_w: float, grid: np.ndarray):
     return ll, shape
 
 
-def fit_iga(samples) -> FitReport:
-    """Inverse-gamma MLE via the reciprocal transform y = 1/w."""
+def _iga_mle(samples):
+    """Validated sample, inverse-gamma MLE parameters and Newton steps."""
     x = _validate_samples(samples, 2)
     log_x = np.log(x)
     _, shape, scale, iters = _profile_at_gamma(log_x, float(log_x.mean()), 1.0)
-    params = GIGaParams(alpha=shape, beta=1.0 / scale, gamma=1.0)
+    return x, GIGaParams(alpha=shape, beta=1.0 / scale, gamma=1.0), iters
+
+
+def fit_iga(samples) -> FitReport:
+    """Inverse-gamma MLE via the reciprocal transform y = 1/w."""
+    x, params, iters = _iga_mle(samples)
     loglik = float(np.sum(giga_logpdf(params, x)))
     return FitReport(family="IGa", params=params, loglik=loglik,
                      n=x.size, converged=True, iterations=iters)
 
 
-def fit_giga(samples, gamma_range=GAMMA_SEARCH_RANGE,
-             gamma_tol=GAMMA_TOL) -> FitReport:
-    """Three-parameter GIGa MLE by profile likelihood over the exponent.
-
-    Scans gamma_range coarsely, then refines the best bracket by
-    golden-section to |d gamma| <= gamma_tol.  Ties resolve to the
-    smallest maximizing gamma (flat profiles arise for near-lognormal
-    data).  Boundary solutions are flagged, not errored.
-    """
+def _giga_mle(samples, gamma_range=GAMMA_SEARCH_RANGE, gamma_tol=GAMMA_TOL):
+    """Validated sample, GIGa MLE parameters, whether beta and the shape
+    came out finite, profile evaluations and the boundary flag."""
     x = _validate_samples(samples, 10)
     lo, hi = gamma_range
     if not 0.0 < lo <= hi:
@@ -284,17 +288,27 @@ def fit_giga(samples, gamma_range=GAMMA_SEARCH_RANGE,
         raise DegenerateSampleError("degenerate sample at fitted gamma")
     log_beta = -np.log(scale) / gam
     beta = float(np.exp(log_beta)) if abs(log_beta) < 700.0 else np.inf
-    converged = np.isfinite(beta) and np.isfinite(shape)
+    converged = bool(np.isfinite(beta) and np.isfinite(shape))
     at_boundary = bool(lo < hi and (gam - lo <= 2 * gamma_tol
                                     or hi - gam <= 2 * gamma_tol))
-    if not converged:
-        # keep the report inspectable even when beta over/underflowed
-        params = GIGaParams(alpha=shape, beta=1.0, gamma=gam)
-        return FitReport(family="GIGa", params=params, loglik=-np.inf,
-                         n=x.size, converged=False, iterations=evals,
-                         at_boundary=at_boundary)
-    params = GIGaParams(alpha=shape, beta=beta, gamma=gam)
-    loglik = float(np.sum(giga_logpdf(params, x)))
+    # keep the report inspectable even when beta over/underflowed
+    params = GIGaParams(alpha=shape, beta=beta if converged else 1.0,
+                        gamma=gam)
+    return x, params, converged, evals, at_boundary
+
+
+def fit_giga(samples, gamma_range=GAMMA_SEARCH_RANGE,
+             gamma_tol=GAMMA_TOL) -> FitReport:
+    """Three-parameter GIGa MLE by profile likelihood over the exponent.
+
+    Scans gamma_range coarsely, then refines the best bracket by
+    golden-section to |d gamma| <= gamma_tol.  Ties resolve to the
+    smallest maximizing gamma (flat profiles arise for near-lognormal
+    data).  Boundary solutions are flagged, not errored.
+    """
+    x, params, converged, evals, at_boundary = _giga_mle(
+        samples, gamma_range, gamma_tol)
+    loglik = float(np.sum(giga_logpdf(params, x))) if converged else -np.inf
     return FitReport(family="GIGa", params=params, loglik=loglik,
-                     n=x.size, converged=True, iterations=evals,
+                     n=x.size, converged=converged, iterations=evals,
                      at_boundary=at_boundary)

@@ -33,6 +33,25 @@ class FixedDrift:
         return self.f
 
 
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+class ReadOnlyMeanField(MeanFieldDynamics):
+    """Mean-field dynamics whose returned arrays refuse writes."""
+
+    def drift(self, w, params):
+        return _read_only(super().drift(w, params))
+
+    def jacobian_apply(self, w, v, params):
+        return _read_only(super().jacobian_apply(w, v, params))
+
+    def l0_drift(self, w, f, params):
+        return _read_only(super().l0_drift(w, f, params))
+
+
 def network_drift(w, top):
     return NetworkDynamics(top).drift(np.asarray(w, dtype=float), BASE_PARAMS)
 
@@ -79,6 +98,19 @@ class TestInteractionDrift:
         w = rng.gamma(3.0, 0.4, top.N) + 1e-3
         f = network_drift(w, top)
         assert abs(f.sum()) <= top.N * np.finfo(float).eps * np.abs(w).max()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_smallworld_drift_equals_sparse_operator(self, seed):
+        # the drift calls scipy's CSR kernel directly; it must give what
+        # the public ``@`` on the same matrix gives, bit for bit
+        top = build_random_smallworld(300, 0.03, seed=seed)
+        w = np.random.default_rng(seed).gamma(2.0, 1.0, 600)
+        adj = sp.csr_matrix((np.ones(top.indices.size), top.indices,
+                             top.indptr), shape=(300, 300))
+        for v in (w[:300], w[::2]):
+            expected = (0.1 / top.n_divisor) * (
+                adj @ v - top.degrees.astype(float) * v)
+            assert np.array_equal(network_drift(v, top), expected)
 
     def test_fast_complete_path_matches_edge_sum(self):
         # the complete-graph shortcut must agree with the explicit edge sum
@@ -318,6 +350,32 @@ class TestNoiseStreams:
         assert np.array_equal(step_noise(7, 3, 16, 0.01)[0],
                               step_noise(7, 3, 16, 0.01)[0])
 
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.lists(st.tuples(st.one_of(st.integers(0, 8),
+                                        st.integers(0, 2 ** 63)),
+                              st.booleans()), min_size=1, max_size=12),
+           st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_reused_generator_matches_fresh(self, seed, draws, n):
+        # steps repeat and come in any order; the one generator must give
+        # what a fresh one at (seed, step) gives, with or without dZ
+        gen = engine.NoiseGenerator(seed)
+        for step, with_dz in draws:
+            db, dz = step_noise(seed, step, n, 0.01, with_dz=with_dz, gen=gen)
+            db_f, dz_f = step_noise(seed, step, n, 0.01, with_dz=with_dz)
+            assert np.array_equal(db, db_f)
+            if with_dz:
+                assert np.array_equal(dz, dz_f)
+            else:
+                assert dz is None and dz_f is None
+            db_o, _ = step_noise(seed, step, n, 0.01, with_dz=not with_dz,
+                                 gen=gen)
+            assert np.array_equal(db_o, db)
+
+    def test_reused_generator_rejects_other_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            step_noise(4, 0, 8, 0.01, gen=engine.NoiseGenerator(5))
+
 
 def _mf_config(**kw):
     base = dict(params=BASE_PARAMS, dynamics=MeanFieldDynamics(), scheme="milstein",
@@ -405,6 +463,50 @@ class TestSimulate:
             assert snap.w.mean() == pytest.approx(1.0, abs=0.05)
 
 
+class TestNoAliasing:
+    """The steps read w, dB, dZ and what the dynamics return, and write
+    only into arrays of their own."""
+
+    @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
+    @pytest.mark.parametrize("shared_drift", [False, True])
+    def test_steps_accept_read_only_inputs(self, scheme, shared_drift):
+        w = _read_only(np.linspace(0.5, 2.0, 6))
+        db, dz = (_read_only(a) for a in step_noise(3, 0, 6, 0.01,
+                                                    with_dz=True))
+        f = _read_only(np.linspace(-0.1, 0.1, 6))
+        if shared_drift:
+            dyn = FixedDrift(f)
+            dyn.jacobian_apply = lambda w, v, params: f
+            dyn.l0_drift = lambda w, f_, params: f
+        else:
+            dyn = ReadOnlyMeanField()
+        step = milstein_step if scheme == "milstein" else taylor15_step
+        out = step(w, 0.0, dyn, BASE_PARAMS, 0.01, db, dz)
+        assert out.flags.writeable
+        for a in (w, db, dz, f):
+            assert not np.shares_memory(out, a)
+        assert np.array_equal(f, np.linspace(-0.1, 0.1, 6))
+        assert np.array_equal(w, np.linspace(0.5, 2.0, 6))
+        again = step(w, 0.0, dyn, BASE_PARAMS, 0.01, db, dz)
+        assert again is not out and np.array_equal(again, out)
+
+    @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
+    def test_snapshots_are_distinct_and_stay_fixed(self, scheme):
+        times = (0.0, 0.3, 0.3, 0.5, 1.0)
+        snaps = simulate(_mf_config(scheme=scheme, snapshot_times=times))
+        assert [s.t for s in snaps] == list(times)
+        for i, a in enumerate(snaps):
+            assert not a.w.flags.writeable
+            for b in snaps[i + 1:]:
+                assert not np.shares_memory(a.w, b.w)
+        # a run that stops at t holds what the longer run recorded at t
+        for snap in snaps[1:]:
+            short = simulate(_mf_config(scheme=scheme, t_end=snap.t,
+                                        snapshot_times=(snap.t,)))
+            assert np.array_equal(short[0].w, snap.w)
+        assert not np.array_equal(snaps[1].w, snaps[3].w)
+
+
 def test_long_run_stays_positive():
     # 250k steps at the study parameters: positivity violations must not
     # occur at dt=0.01 (and would raise, never silently clamp)
@@ -480,6 +582,24 @@ class TestStepSeams:
         assert [a[1] for a in calls["step_noise"]] == list(range(50))
         assert len(calls[f"{scheme}_step"]) == cfg.n_steps
         assert calls[other] == []
+
+    @pytest.mark.parametrize("init", ["ones", "gaussian"])
+    @pytest.mark.parametrize("t_end", [0.05, 2.0])
+    def test_simulate_builds_one_noise_generator(self, monkeypatch, init,
+                                                 t_end):
+        # building a Philox generator costs several times what moving one
+        # to the next step's counter does; the init lane may build its own
+        philox = np.random.Philox
+        lanes = []
+
+        def counted(*args, **kw):
+            lanes.append(int(kw["counter"][2]))
+            return philox(*args, **kw)
+        monkeypatch.setattr(np.random, "Philox", counted)
+        cfg = _mf_config(t_end=t_end, snapshot_times=(t_end,), init=init)
+        simulate(cfg)
+        assert lanes.count(engine._NOISE_LANE) == 1
+        assert len(lanes) == (2 if init == "gaussian" else 1)
 
     @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
     def test_convergence_study_steps_through_seams(self, monkeypatch, scheme):

@@ -1,12 +1,14 @@
 """KS statistic properties and parametric-bootstrap behavior."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmnet import fitting, gof
 from bmnet.distributions import (GIGaParams, LNParams, giga_cdf, giga_sample,
                                  ln_cdf, ln_sample)
 from bmnet.engine import MeanFieldDynamics, ModelParams, SimConfig, simulate
@@ -104,6 +106,33 @@ class TestBlockBoundedKs:
             x, cdf = _ks_case(cdf_kind, n, seed, ties, 0.0)
             assert ks_statistic(x, cdf) == full_ks(x, cdf)
 
+    @given(st.sampled_from(["identity", "LN", "GIGa"]),
+           st.integers(1, 2100), st.integers(0, 10 ** 6), st.booleans(),
+           st.sampled_from([0.0, 1e-3, 0.5]), st.sampled_from([0, 2 ** 62]))
+    @settings(max_examples=100, deadline=None)
+    def test_full_and_blocked_passes_equal_full_evaluation(
+            self, cdf_kind, n, seed, ties, misfit, full_below):
+        # force every size onto the blocked pass (0) or the full pass
+        x, cdf = _ks_case(cdf_kind, n, seed, ties, misfit)
+        with mock.patch.object(gof, "_KS_FULL_BELOW", full_below):
+            assert ks_statistic(x, cdf) == full_ks(x, cdf)
+
+    @pytest.mark.parametrize("cdf_kind", ["identity", "LN", "GIGa"])
+    def test_full_pass_below_threshold(self, cdf_kind):
+        for n, calls in ((gof._KS_FULL_BELOW - 1, [gof._KS_FULL_BELOW - 1]),
+                         (gof._KS_FULL_BELOW, None)):
+            x, cdf = _ks_case(cdf_kind, n, n, False, 0.0)
+            seen = []
+
+            def counting_cdf(v):
+                seen.append(np.size(v))
+                return cdf(v)
+            assert ks_statistic(x, counting_cdf) == full_ks(x, cdf)
+            if calls is not None:
+                assert seen == calls
+            else:  # the anchor pass: every 16th value and the largest
+                assert seen[0] == -(-n // 16) + 1 and len(seen) <= 2
+
     def test_well_fitted_giga_evaluates_a_fraction(self):
         n = 10 ** 4
         x = giga_sample(GIGaParams(6.0, 20.0, 0.5), n, seed=21)
@@ -152,6 +181,23 @@ class TestBootstrap:
         x = giga_sample(GIGaParams(6, 20, 0.5), 5000, seed=8)
         r = ks_pvalue_bootstrap(x, "LN", 99, seed=9)
         assert r.p_value == 0.0  # reported 0 means p < 1/B
+
+    @pytest.mark.parametrize("family", ["LN", "IGa", "GIGa"])
+    def test_refits_skip_the_log_likelihood(self, family, monkeypatch):
+        # only the observed fit's loglik is reported; the B refits must
+        # give the same parameters as the public fits without computing one
+        x = giga_sample(GIGaParams(6, 20, 0.5), 400, seed=5)
+        calls = []
+        for name in ("ln_logpdf", "giga_logpdf"):
+            def counted(*args, _fn=getattr(fitting, name)):
+                calls.append(1)
+                return _fn(*args)
+            monkeypatch.setattr(fitting, name, counted)
+        r = ks_pvalue_bootstrap(x, family, 9, seed=3)
+        assert len(calls) == 1
+        assert r.fit == gof._FIT[family](x)
+        synth = gof._SAMPLE[family](r.fit.params, x.size, 11)
+        assert gof._REFIT[family](synth)[1] == gof._FIT[family](synth).params
 
     def test_report_serialization_keys(self):
         x = ln_sample(LNParams(0.0, 1.0), 300, seed=2)
