@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .distributions import theta_of_gamma
 from .errors import PositivityError
@@ -93,7 +92,6 @@ class NoiseGenerator:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._bitgen = np.random.Philox(counter=[0, 0, _NOISE_LANE, 0],
                                         key=np.uint64(seed))
         self._gen = np.random.Generator(self._bitgen)
@@ -115,17 +113,14 @@ def step_noise(seed: int, step: int, n: int, dt: float,
     scheme needs it) integrates over the step the Brownian increment
     since its start: Var(dZ) = dt^3/3, Cov(dB, dZ) = dt^2/2.  The draws
     come from a Philox generator at counter (lane 0, step) keyed by the
-    seed: ``gen``, a :class:`NoiseGenerator` for the same seed moved to
-    that counter, or else a freshly built one.  Either way the stream is
+    seed: ``gen``, a :class:`NoiseGenerator` built for this seed and
+    moved to that counter, or else a freshly built one.  Either way the stream is
     a pure function of (seed, step), and the dB values are identical
     whether or not dZ is requested.  Both arrays are new on every call.
     """
     if gen is None:
         rng = np.random.Generator(np.random.Philox(
             counter=[0, 0, _NOISE_LANE, step], key=np.uint64(seed)))
-    elif gen.seed != seed:
-        raise ValueError(
-            f"noise generator has seed {gen.seed}, not {seed}")
     else:
         rng = gen.at(step)
     # products and sums below are commutative, so the in-place forms
@@ -170,14 +165,7 @@ class NetworkDynamics:
             return (J / top.n_divisor) * (v.sum() - top.N * v)
         if top.kind == REGULAR_RING:
             return (J / top.n_divisor) * self._ring_coupling(v)
-        # y = adj @ v, by the kernel that the operator calls, without the
-        # operator's dispatch; then (J/n)(y - deg v), in place
-        adj = self._adj
-        y = np.zeros(top.N)
-        _sparsetools.csr_matvec(top.N, top.N, adj.indptr, adj.indices,
-                                adj.data, v, y)
-        np.subtract(y, np.multiply(self._deg, v), y)
-        return np.multiply(y, J / top.n_divisor, y)
+        return (J / top.n_divisor) * (self._adj @ v - self._deg * v)
 
     def _ring_coupling(self, v: np.ndarray) -> np.ndarray:
         """Neighbor sum minus n times the own value, on the ring lattice.

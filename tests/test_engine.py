@@ -99,18 +99,21 @@ class TestInteractionDrift:
         f = network_drift(w, top)
         assert abs(f.sum()) <= top.N * np.finfo(float).eps * np.abs(w).max()
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_smallworld_drift_equals_sparse_operator(self, seed):
-        # the drift calls scipy's CSR kernel directly; it must give what
-        # the public ``@`` on the same matrix gives, bit for bit
-        top = build_random_smallworld(300, 0.03, seed=seed)
-        w = np.random.default_rng(seed).gamma(2.0, 1.0, 600)
-        adj = sp.csr_matrix((np.ones(top.indices.size), top.indices,
-                             top.indptr), shape=(300, 300))
-        for v in (w[:300], w[::2]):
-            expected = (0.1 / top.n_divisor) * (
-                adj @ v - top.degrees.astype(float) * v)
-            assert np.array_equal(network_drift(v, top), expected)
+    @pytest.mark.parametrize("size", [299, 301, 1])
+    def test_smallworld_rejects_wrong_size(self, size):
+        # a vector whose size is not N must raise, never be read past its
+        # end or broadcast, in every apply and in both steps
+        dyn = NetworkDynamics(build_random_smallworld(300, 0.03, seed=1))
+        v = np.ones(size)
+        for apply in (lambda: dyn.drift(v, BASE_PARAMS),
+                      lambda: dyn.jacobian_apply(np.ones(300), v, BASE_PARAMS),
+                      lambda: dyn.l0_drift(np.ones(300), v, BASE_PARAMS),
+                      lambda: milstein_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
+                                            np.zeros(size)),
+                      lambda: taylor15_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
+                                            np.zeros(size), np.zeros(size))):
+            with pytest.raises(ValueError):
+                apply()
 
     def test_fast_complete_path_matches_edge_sum(self):
         # the complete-graph shortcut must agree with the explicit edge sum
@@ -371,10 +374,6 @@ class TestNoiseStreams:
             db_o, _ = step_noise(seed, step, n, 0.01, with_dz=not with_dz,
                                  gen=gen)
             assert np.array_equal(db_o, db)
-
-    def test_reused_generator_rejects_other_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            step_noise(4, 0, 8, 0.01, gen=engine.NoiseGenerator(5))
 
 
 def _mf_config(**kw):
