@@ -114,9 +114,9 @@ def step_noise(seed: int, step: int, n: int, dt: float,
     since its start: Var(dZ) = dt^3/3, Cov(dB, dZ) = dt^2/2.  The draws
     come from a Philox generator at counter (lane 0, step) keyed by the
     seed: ``gen``, a :class:`NoiseGenerator` built for this seed and
-    moved to that counter, or else a freshly built one.  Either way the stream is
-    a pure function of (seed, step), and the dB values are identical
-    whether or not dZ is requested.  Both arrays are new on every call.
+    moved to that counter, or else a freshly built one.  Either way the
+    stream is a pure function of (seed, step), and the dB values are
+    identical whether or not dZ is requested.  Both arrays are new on every call.
     """
     if gen is None:
         rng = np.random.Generator(np.random.Philox(
