@@ -15,7 +15,7 @@ from .fitting import (FitReport, fit_giga, fit_iga, fit_lognormal,
                       gamma_shape_scale_mle)
 from .gof import GofReport, compare_families, ks_pvalue_bootstrap, ks_statistic
 from .topology import (NetworkTopology, build_complete, build_random_smallworld,
-                       build_regular_ring, load_edge_list, save_edge_list)
+                       build_regular_ring)
 
 __all__ = [
     "GIGaParams", "LNParams", "giga_cdf", "giga_logpdf", "giga_mean",
@@ -30,5 +30,5 @@ __all__ = [
     "gamma_shape_scale_mle",
     "GofReport", "compare_families", "ks_pvalue_bootstrap", "ks_statistic",
     "NetworkTopology", "build_complete", "build_random_smallworld",
-    "build_regular_ring", "load_edge_list", "save_edge_list",
+    "build_regular_ring",
 ]

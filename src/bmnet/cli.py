@@ -23,7 +23,7 @@ from .distributions import stationary_giga, theta_of_gamma
 from .engine import simulate, strong_convergence_study
 from .errors import ConfigError, DegenerateSampleError, PositivityError
 from .fitting import FitReport
-from .gof import GofReport, ks_pvalue_bootstrap
+from .gof import DEFAULT_BOOTSTRAP_B, GofReport, ks_pvalue_bootstrap
 
 _DEFAULT_SIGMA2 = 0.05
 _DEFAULT_J = 0.1
@@ -294,7 +294,8 @@ def _figure_config(run: FigureRun, N: int, dt: float, bootstrap_b: int,
 
 
 def cmd_reproduce(figure: int, out_dir: str = ".", N: int = FIGURE_DEFAULT_N,
-                  dt: float = FIGURE_DEFAULT_DT, bootstrap_b: int = 99,
+                  dt: float = FIGURE_DEFAULT_DT,
+                  bootstrap_b: int = DEFAULT_BOOTSTRAP_B,
                   seed: int = 0, t_end=None, times=None) -> int:
     """Re-run the published parameter sets and emit plot-ready tables.
 
@@ -376,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default=".")
     p_rep.add_argument("--N", type=int, default=FIGURE_DEFAULT_N)
     p_rep.add_argument("--dt", type=float, default=FIGURE_DEFAULT_DT)
-    p_rep.add_argument("--bootstrap", type=int, default=99)
+    p_rep.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP_B)
     p_rep.add_argument("--t-end", type=float, default=None)
     return parser
 

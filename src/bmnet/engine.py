@@ -142,9 +142,10 @@ class NetworkDynamics:
     The drift, and the Jacobian contractions of the order-1.5 scheme,
     are one linear coupling operator applied to different vectors.  The
     complete graph and the ring lattice apply it in closed form in O(N)
-    (ensemble sum; circulant sliding-window sum), without reading the
-    adjacency.  Only the small-world graph, which has no such structure,
-    caches a sparse matrix and pays one sparse matvec per apply.
+    (ensemble sum; circulant sliding-window sum) from (N, n) alone.  Only
+    the small-world graph, which has no such structure, holds a sparse
+    matrix, built on the topology's own index arrays, and pays one
+    sparse matvec per apply.
     """
 
     kind = "network"
@@ -155,6 +156,7 @@ class NetworkDynamics:
         if topology.kind not in (COMPLETE, REGULAR_RING):
             n = topology.N
             self._deg = topology.degrees.astype(float)
+            # the index arrays have scipy's index dtype, so no copy is made
             self._adj = sp.csr_matrix(
                 (np.ones(topology.indices.size), topology.indices,
                  topology.indptr), shape=(n, n))
@@ -260,29 +262,41 @@ class EFTDynamics:
         return f * fp + params.sigma2 * w * w * fpp
 
 
-def milstein_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
-                  dt: float, dB: np.ndarray, dZ=None) -> np.ndarray:
-    """One Milstein step from w at time t: Euler-Maruyama plus
-    sigma^2 w (dB^2 - dt).  dZ is unused; both schemes share one call."""
+def _milstein_update(w: np.ndarray, dynamics, params: ModelParams, dt: float,
+                     dB: np.ndarray, keep_dbsq: bool):
+    """Check a step's arguments and evaluate the Milstein update.
+
+    Returns (f, w_new, tmp, dbsq, u): the drift f at w, the new array
+    w_new = ((w + f dt) + (c w) dB) + (s2 w)(dB^2 - dt) with
+    c = sqrt(2) sigma and s2 = sigma^2, summed in that order, a scratch
+    array tmp, and u = dB^2 - dt.  dbsq holds dB^2 only with
+    ``keep_dbsq``; otherwise u is computed in place over it.  The ufuncs
+    write only into arrays made here, never into w, dB or f.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dB.size != w.size:
         raise ValueError("noise dimension does not match state")
     sigma = params.sigma
     f = dynamics.drift(w, params)
-    # ((w + f dt) + (c w) dB) + (s2 w)(dB^2 - dt) with c = sqrt(2) sigma
-    # and s2 = sigma^2, in that order, through two scratch arrays; the
-    # ufuncs write only into arrays made here, never into w, dB or f
     w_new = np.multiply(f, dt)
     np.add(w_new, w, w_new)
     tmp = np.multiply(w, math.sqrt(2.0) * sigma)
     np.multiply(tmp, dB, tmp)
     np.add(w_new, tmp, w_new)
-    q = np.multiply(dB, dB)
-    np.subtract(q, dt, q)
+    dbsq = np.multiply(dB, dB)
+    u = np.subtract(dbsq, dt, None if keep_dbsq else dbsq)
     np.multiply(w, sigma * sigma, tmp)
-    np.multiply(tmp, q, tmp)
+    np.multiply(tmp, u, tmp)
     np.add(w_new, tmp, w_new)
+    return f, w_new, tmp, dbsq, u
+
+
+def milstein_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
+                  dt: float, dB: np.ndarray, dZ=None) -> np.ndarray:
+    """One Milstein step from w at time t: Euler-Maruyama plus
+    sigma^2 w (dB^2 - dt).  dZ is unused; both schemes share one call."""
+    w_new = _milstein_update(w, dynamics, params, dt, dB, False)[1]
     _check_positive_state(w_new, t + dt)
     return w_new
 
@@ -296,33 +310,20 @@ def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
     terms, using the drift Jacobian and generator contractions supplied
     analytically by the dynamics.  Requires the auxiliary increment dZ.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if dZ is None:
         raise ValueError("order-1.5 scheme needs the auxiliary dZ increment")
-    if dB.size != w.size:
-        raise ValueError("noise dimension does not match state")
+    f, w_new, tmp, dbsq, u = _milstein_update(w, dynamics, params, dt, dB,
+                                              True)
     sig = params.sigma
     sq2sig = math.sqrt(2.0) * sig
-    f = dynamics.drift(w, params)
     jac = dynamics.jacobian_apply(w, w * dZ, params)
     l0 = dynamics.l0_drift(w, f, params)
-    # the eight terms below are summed left to right, each evaluated in
-    # the order of the written expression
-    #   w + f dt + c w dB + s2 w (dB^2 - dt) + c Jac(w dZ) + 0.5 L0 dt dt
-    #   + c f (dB dt - dZ) + sqrt(2) sig^3 w (dB^2/3 - dt) dB
-    # (c = sqrt(2) sig, s2 = sig^2), through scratch arrays made here;
-    # w, dB, dZ and the arrays the dynamics return are only read
-    w_new = np.multiply(f, dt)
-    np.add(w_new, w, w_new)
-    tmp = np.multiply(w, sq2sig)
-    np.multiply(tmp, dB, tmp)
-    np.add(w_new, tmp, w_new)
-    dbsq = np.multiply(dB, dB)
-    u = np.subtract(dbsq, dt)
-    np.multiply(w, sig * sig, tmp)
-    np.multiply(tmp, u, tmp)
-    np.add(w_new, tmp, w_new)
+    # the five terms below go on adding to the Milstein update left to
+    # right, each evaluated in the order of the written expression
+    #   + c Jac(w dZ) + 0.5 L0 dt dt + c f (dB dt - dZ)
+    #   + sqrt(2) sig^3 w (dB^2/3 - dt) dB
+    # (c = sqrt(2) sig), through the update's scratch arrays; w, dB, dZ
+    # and the arrays the dynamics return are only read
     np.multiply(jac, sq2sig, tmp)
     np.add(w_new, tmp, w_new)
     np.multiply(l0, 0.5, tmp)

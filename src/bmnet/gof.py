@@ -28,9 +28,8 @@ _REFIT = {"LN": _ln_mle, "IGa": _iga_mle, "GIGa": _giga_mle}
 _CDF = {"LN": ln_cdf, "IGa": giga_cdf, "GIGa": giga_cdf}
 _SAMPLE = {"LN": ln_sample, "IGa": giga_sample, "GIGa": giga_sample}
 
-# default bootstrap sizes: quick-look runs vs acceptance-grade runs
+# default bootstrap size of a config's [fit] section and of reproduce
 DEFAULT_BOOTSTRAP_B = 99
-ACCEPTANCE_BOOTSTRAP_B = 999
 
 # ks_statistic evaluates the CDF in full only inside blocks of this many
 # sorted values whose bound can reach the maximum deviation

@@ -116,12 +116,13 @@ class TestInteractionDrift:
                 apply()
 
     def test_fast_complete_path_matches_edge_sum(self):
-        # the complete-graph shortcut must agree with the explicit edge sum
+        # the complete-graph shortcut must agree with the explicit sum
+        # over every other agent j != i
         rng = np.random.default_rng(5)
         w = rng.gamma(2.0, 0.5, 40)
         top = build_complete(40)
         explicit = np.array([
-            (0.1 / top.n_divisor) * np.sum(w[top.neighbors(i)] - w[i])
+            (0.1 / top.n_divisor) * np.sum(np.delete(w, i) - w[i])
             for i in range(top.N)])
         assert np.allclose(network_drift(w, top), explicit,
                            rtol=1e-12, atol=1e-14)

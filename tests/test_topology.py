@@ -1,43 +1,83 @@
-"""Network construction invariants and the coupling-divisor convention."""
+"""Network construction invariants and the coupling-divisor convention.
+
+The complete graph and the ring lattice store no adjacency, so their
+graph is read back from the coupling operator that the engine applies.
+"""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from bmnet.engine import ModelParams, NetworkDynamics
 from bmnet.topology import (build_complete, build_random_smallworld,
-                            build_regular_ring, load_edge_list, save_edge_list)
+                            build_regular_ring)
+from test_engine import naive_ring_neighbors
+
+BASE_PARAMS = ModelParams.from_sigma2(0.05, 0.1)
+
+
+def applied_adjacency(top):
+    """The 0/1 adjacency A that NetworkDynamics applies, as a dense array.
+
+    With J = n the drift of the unit vector e_j is column j of A - D, D
+    the diagonal of degrees; the columns are read one drift at a time
+    and must lie within rounding of integers.
+    """
+    dyn = NetworkDynamics(top)
+    params = ModelParams(sigma=1.0, J=top.n_divisor)
+    coupling = np.column_stack([dyn.drift(e, params) for e in np.eye(top.N)])
+    rounded = np.rint(coupling)
+    assert np.abs(coupling - rounded).max() < 1e-9
+    adj = rounded.astype(int)
+    degrees = -np.diag(adj).copy()
+    np.fill_diagonal(adj, 0)
+    assert np.isin(adj, (0, 1)).all()
+    assert np.array_equal(degrees, adj.sum(axis=1)), "diagonal is not -degree"
+    return adj
+
+
+def neighbors(top, i):
+    return np.flatnonzero(applied_adjacency(top)[i])
 
 
 def assert_valid_adjacency(top):
-    """Symmetry and no self-loops, checked exhaustively."""
-    neighbor_sets = [set(top.neighbors(i).tolist()) for i in range(top.N)]
-    for i in range(top.N):
-        assert i not in neighbor_sets[i], f"self-loop at {i}"
-        for j in neighbor_sets[i]:
-            assert i in neighbor_sets[j], f"asymmetric edge ({i}, {j})"
-        assert np.all(np.diff(top.neighbors(i)) > 0), "neighbor list not sorted"
+    """Symmetric coupling; a stored CSR is the applied graph, with sorted
+    neighbor lists and no self-loops."""
+    adj = applied_adjacency(top)
+    assert np.array_equal(adj, adj.T), "asymmetric coupling"
+    if top.indices.size:
+        for i in range(top.N):
+            row = top.indices[top.indptr[i]:top.indptr[i + 1]]
+            assert i not in row, f"self-loop at {i}"
+            assert np.all(np.diff(row) > 0), "neighbor list not sorted"
+        stored = sp.csr_matrix((np.ones(top.indices.size), top.indices,
+                                top.indptr), shape=(top.N, top.N))
+        assert np.array_equal(stored.toarray(), adj)
 
 
-def edge_set(top):
-    return set(map(tuple, top.edges().tolist()))
+def coupling_bound(w):
+    # the bound of criterion 11a
+    return w.size * np.finfo(float).eps * np.abs(w).max()
 
 
 class TestComplete:
     def test_three_agents(self):
         top = build_complete(3)
-        assert {i: top.neighbors(i).tolist() for i in range(3)} == {
-            0: [1, 2], 1: [0, 2], 2: [0, 1]}
+        assert applied_adjacency(top).tolist() == [[0, 1, 1], [1, 0, 1],
+                                                   [1, 1, 0]]
         assert top.n_divisor == 3
 
     def test_smallest_case(self):
         top = build_complete(2)
-        assert top.neighbors(0).tolist() == [1]
-        assert top.neighbors(1).tolist() == [0]
+        assert neighbors(top, 0).tolist() == [1]
+        assert neighbors(top, 1).tolist() == [0]
 
     def test_degree_histogram_n1000(self):
         top = build_complete(1000)
-        degrees = np.unique(top.degrees)
+        degrees = np.unique(applied_adjacency(top).sum(axis=1))
         assert degrees.tolist() == [999]
         assert top.n_divisor == 1000
 
@@ -49,18 +89,18 @@ class TestComplete:
 class TestRegularRing:
     def test_nearest_neighbor_ring(self):
         top = build_regular_ring(5, 2)
-        assert top.neighbors(0).tolist() == [1, 4]
+        assert neighbors(top, 0).tolist() == [1, 4]
         assert top.n_divisor == 2
 
     def test_antipode_rule(self):
         top = build_regular_ring(6, 3)
-        assert top.neighbors(0).tolist() == [1, 3, 5]
+        assert neighbors(top, 0).tolist() == [1, 3, 5]
 
     def test_z001_ring(self):
         # n = z*N with z = 0.01, N = 1000
-        top = build_regular_ring(1000, 10)
-        assert np.all(top.degrees == 10)
-        assert top.is_connected()
+        adj = applied_adjacency(build_regular_ring(1000, 10))
+        assert np.all(adj.sum(axis=1) == 10)
+        assert connected_components(adj, directed=False)[0] == 1
 
     def test_odd_degree_needs_even_n(self):
         with pytest.raises(ValueError):
@@ -70,46 +110,63 @@ class TestRegularRing:
         with pytest.raises(ValueError):
             build_regular_ring(6, 6)
 
-    @given(st.integers(min_value=4, max_value=60), st.integers(min_value=1, max_value=20))
-    def test_vertex_transitive(self, N, n):
-        if n >= N:
-            n = N - 1
+    @given(st.integers(min_value=3, max_value=60),
+           st.integers(min_value=1, max_value=59),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(deadline=None)
+    def test_vertex_transitive(self, N, n, seed):
+        # every agent couples to the naive ring neighbors, and the drift
+        # equals the explicit sum over them
+        n = min(n, N - 1)
         if n % 2 == 1 and N % 2 == 1:
             N += 1
         top = build_regular_ring(N, n)
-        assert np.all(top.degrees == n)
-        assert_valid_adjacency(top)
+        adj = applied_adjacency(top)
+        for i in range(N):
+            assert np.flatnonzero(adj[i]).tolist() == \
+                naive_ring_neighbors(N, n, i).tolist()
+        w = np.random.default_rng(seed).gamma(2.0, 1.0, N) + 1e-4
+        explicit = np.array([
+            (0.1 / n) * np.sum(w[naive_ring_neighbors(N, n, i)] - w[i])
+            for i in range(N)])
+        f = NetworkDynamics(top).drift(w, BASE_PARAMS)
+        assert np.abs(f - explicit).max() <= 1e-12 * np.abs(explicit).max()
 
     @pytest.mark.parametrize("N, n", [(3, 2), (4, 1), (4, 3), (5, 4),
                                       (9, 2), (10, 5), (11, 10), (12, 11),
                                       (100, 7), (101, 50), (400, 40)])
     def test_indices_match_naive_construction(self, N, n):
-        # neighbor sets by ring distance: 1..n//2, plus N/2 for odd n
-        expected = []
+        # the neighbor indices the operator applies, at pinned corner cases
+        adj = applied_adjacency(build_regular_ring(N, n))
         for i in range(N):
-            d = {j: min(abs(i - j), N - abs(i - j)) for j in range(N)}
-            expected.extend(sorted(
-                j for j in range(N)
-                if 1 <= d[j] <= n // 2 or (n % 2 == 1 and d[j] == N // 2)))
-        top = build_regular_ring(N, n)
-        assert top.indices.tolist() == expected
-        assert top.indptr.tolist() == list(range(0, N * n + 1, n))
+            assert np.flatnonzero(adj[i]).tolist() == \
+                naive_ring_neighbors(N, n, i).tolist()
 
     @given(st.integers(min_value=2, max_value=12))
     def test_full_ring_equals_complete(self, half):
+        # the same graph; the coupling divisors are N - 1 and N
         N = 2 * half
-        assert edge_set(build_regular_ring(N, N - 1)) == edge_set(build_complete(N))
+        w = np.random.default_rng(half).gamma(2.0, 1.0, N) + 1e-4
+        ring = NetworkDynamics(build_regular_ring(N, N - 1))
+        complete = NetworkDynamics(build_complete(N))
+        diff = (ring.drift(w, BASE_PARAMS) * (N - 1) / N
+                - complete.drift(w, BASE_PARAMS))
+        assert np.abs(diff).max() <= coupling_bound(w)
 
 
 class TestRandomSmallWorld:
     def test_zero_probability(self):
         top = build_random_smallworld(50, 0.0, seed=1)
-        assert top.edge_count == 0
+        assert top.indices.size == 0
         assert np.all(top.degrees == 0)
 
     def test_certain_connection_equals_complete(self):
         top = build_random_smallworld(40, 1.0, seed=1)
-        assert edge_set(top) == edge_set(build_complete(40))
+        assert top.n_divisor == 40
+        w = np.random.default_rng(40).gamma(2.0, 1.0, 40) + 1e-4
+        diff = (NetworkDynamics(top).drift(w, BASE_PARAMS)
+                - NetworkDynamics(build_complete(40)).drift(w, BASE_PARAMS))
+        assert np.abs(diff).max() <= coupling_bound(w)
 
     def test_expected_degree_divisor(self):
         top = build_random_smallworld(1000, 0.003, seed=9)
@@ -119,7 +176,7 @@ class TestRandomSmallWorld:
         # mean over seeds within 3 standard errors of the binomial mean
         N, p, n_seeds = 1000, 0.003, 40
         pairs = N * (N - 1) // 2
-        counts = [build_random_smallworld(N, p, seed=s).edge_count
+        counts = [build_random_smallworld(N, p, seed=s).indices.size // 2
                   for s in range(n_seeds)]
         expected = pairs * p
         se = np.sqrt(pairs * p * (1 - p) / n_seeds)
@@ -141,6 +198,21 @@ class TestRandomSmallWorld:
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
 
+    @given(st.integers(min_value=2, max_value=80),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40)
+    def test_csr_is_the_drawn_graph(self, N, p, seed):
+        # pair (i, j > i) is linked by the (j - i - 1)-th of row i's draws
+        rng = np.random.default_rng(seed)
+        adj = np.zeros((N, N), dtype=bool)
+        for i in range(N - 1):
+            adj[i, i + 1:] = rng.random(N - 1 - i) < p
+        adj |= adj.T
+        top = build_random_smallworld(N, p, seed)
+        assert top.indptr.tolist() == [0] + np.cumsum(adj.sum(axis=1)).tolist()
+        assert top.indices.tolist() == np.nonzero(adj)[1].tolist()
+
     def test_isolated_agents_kept(self):
         top = build_random_smallworld(200, 0.005, seed=3)
         assert top.N == 200  # ensemble size is N regardless of isolation
@@ -158,47 +230,19 @@ def test_adjacency_invariants(top):
     assert_valid_adjacency(top)
 
 
-def test_edge_list_round_trip(tmp_path):
-    top = build_random_smallworld(80, 0.05, seed=21)
-    path = tmp_path / "edges.txt"
-    save_edge_list(top, path)
-    back = load_edge_list(path)
-    assert back.N == top.N
-    assert back.kind == top.kind
-    assert back.n_divisor == top.n_divisor
-    assert np.array_equal(back.indptr, top.indptr)
-    assert np.array_equal(back.indices, top.indices)
+@pytest.mark.parametrize("top", [build_complete(2000),
+                                 build_regular_ring(2000, 40)],
+                         ids=["complete", "ring"])
+def test_closed_form_kinds_store_no_adjacency(top):
+    # the engine applies these from (N, n) alone
+    arrays = [v for v in vars(top).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size <= top.N + 1 for a in arrays)
 
 
-def test_edge_list_ring_round_trip(tmp_path):
-    top = build_regular_ring(20, 5)
-    path = tmp_path / "ring.txt"
-    save_edge_list(top, path)
-    back = load_edge_list(path)
-    assert back.kind == top.kind and back.n_divisor == top.n_divisor
-    assert np.array_equal(back.indices, top.indices)
-
-
-def test_edge_list_rejects_edited_ring(tmp_path):
-    # the engine applies the ring coupling from (N, n), not from the edges
-    path = tmp_path / "ring.txt"
-    save_edge_list(build_regular_ring(20, 4), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError, match="ring lattice"):
-        load_edge_list(path)
-
-
-def test_edge_list_rejects_duplicate_edge(tmp_path):
-    path = tmp_path / "dup.txt"
-    path.write_text("N 5 kind random_smallworld n_divisor 1.0\n"
-                    "0 1\n2 3\n0 1\n")
-    with pytest.raises(ValueError, match=r"dup\.txt:4: duplicate edge 0 1"):
-        load_edge_list(path)
-
-
-def test_edge_list_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("nonsense header\n")
-    with pytest.raises(ValueError):
-        load_edge_list(path)
+def test_smallworld_operator_shares_index_arrays():
+    # the graph is held once: the operator's matrix reads the topology's
+    # own index arrays
+    top = build_random_smallworld(1000, 0.01, seed=3)
+    [adj] = [v for v in vars(NetworkDynamics(top)).values() if sp.issparse(v)]
+    assert np.shares_memory(adj.indices, top.indices)
+    assert np.shares_memory(adj.indptr, top.indptr)
