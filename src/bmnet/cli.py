@@ -34,8 +34,11 @@ _DEFAULT_CONVERGENCE_DTS = [2.0 ** -k for k in range(4, 10)]
 # lattice coupling became a prefix-sum window over the centred state.
 # 3: the inner gamma MLE became a Newton solve (warm-started during the
 # GIGa golden-section search), so fitted alpha, beta and loglik change
-# in about the 12th digit.
-FORMAT_VERSION = 3
+# in about the 12th digit.  4: the GIGa exponent search became a
+# safeguarded Newton solve on the profile score, after a scan whose
+# powers come by recursion, so the GIGa rows change; LN and IGa rows do
+# not.
+FORMAT_VERSION = 4
 
 EVOLUTION_HEADER = ("t,family,alpha,beta,gamma,mu,s,gamma_hat,"
                     "alpha_gamma_hat,loglik,ks_stat,p_value,converged")

@@ -3,10 +3,11 @@
 The GIGa fit is a profile likelihood over the exponent: for fixed gamma,
 y = w**-gamma is gamma-distributed, so the inner (shape, scale) problem
 is an exact one-dimensional MLE, solved by a few Newton steps on
-log(shape) from a closed-form start.  The outer search over gamma uses a
-coarse scan, whose inner solves run as one vectorised Newton call,
-followed by golden-section refinement, where each inner solve starts
-from the previous shape.  The outer search is derivative-free.  The IGa
+log(shape) from a closed-form start.  The outer search over gamma is a
+coarse scan, whose powers w**-gamma come by recursion along the grid and
+whose inner solves run as one vectorised Newton call, followed by
+safeguarded Newton steps on the analytic profile score inside the best
+bracket, where each inner solve starts from the previous shape.  The IGa
 fit is the gamma = 1 profile, and the lognormal fit is closed form.
 """
 
@@ -35,8 +36,9 @@ class FitReport:
     inverse-gamma families; they are None for the lognormal fit.
     ``at_boundary`` flags a GIGa exponent pinned at the search boundary
     (typical for near-lognormal data, where the family is weakly
-    identified).  ``iterations`` counts profile evaluations for GIGa,
-    Newton steps of the inner shape solve for IGa, and is 1 for LN.
+    identified).  ``iterations`` counts, for GIGa, the scan points plus
+    the score evaluations of the exponent search; for IGa, the Newton
+    steps of the inner shape solve; for LN it is 1.
     """
 
     family: str
@@ -194,18 +196,32 @@ def _profile_at_gamma(log_w: np.ndarray, mean_log_w: float, gamma: float,
     return float(ll), shape, scale, steps
 
 
-def _profile_scan(log_w: np.ndarray, mean_log_w: float, grid: np.ndarray):
-    """Profile loglik and inner shape at every grid exponent.
+def _power_means(log_w: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Mean of w**-g at every exponent g of an arithmetic grid.
 
-    Each exponent costs one exp() pass into a reused buffer; the inner
-    MLEs are then solved together.  Exponents where the inner problem is
-    degenerate get loglik -inf.
+    The powers come by recursion, w**-(g0 + j*dg) = w**-g0 * (w**-dg)**j:
+    two exp() passes, then one in-place multiply per further exponent.
     """
-    buf = np.empty_like(log_w)
-    mean_y = np.empty(grid.size)
-    for j, g in enumerate(grid):
-        np.multiply(log_w, -g, out=buf)
-        mean_y[j] = np.exp(buf, out=buf).mean()
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    buf = np.multiply(log_w, -grid[0])
+    ratio = np.multiply(log_w, -step)
+    np.exp(buf, out=buf)
+    np.exp(ratio, out=ratio)
+    sum_y = np.empty(grid.size)
+    sum_y[0] = buf.sum()
+    for j in range(1, grid.size):
+        sum_y[j] = np.multiply(buf, ratio, out=buf).sum()
+    return sum_y / log_w.size
+
+
+def _profile_scan(log_w: np.ndarray, mean_log_w: float, grid: np.ndarray):
+    """Profile loglik and inner shape at every point of an arithmetic grid.
+
+    The means of w**-g come from :func:`_power_means`, and the inner MLEs
+    are solved together.  Exponents where the inner problem is
+    degenerate, an overflowing power included, get loglik -inf.
+    """
+    mean_y = _power_means(log_w, grid)
     mean_log_y = -grid * mean_log_w
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.log(mean_y) - mean_log_y
@@ -216,6 +232,36 @@ def _profile_scan(log_w: np.ndarray, mean_log_w: float, grid: np.ndarray):
     ll[ok] = _profile_loglik(log_w.size, grid[ok], mean_y[ok], mean_log_y[ok],
                              mean_log_w, shape[ok])
     return ll, shape
+
+
+def _profile_score(log_w: np.ndarray, mean_log_w: float, gamma: float,
+                   shape0, y: np.ndarray, z: np.ndarray):
+    """Score and curvature of the profile loglik at gamma, with the inner
+    (shape, scale) MLE solved from shape0.
+
+    With L = log w, m = mean(L), r and q the means of L and L**2
+    weighted by y = w**-gamma and k the inner shape, the envelope theorem
+    gives the score P' = n (1/gamma - k m + k r); differentiating it, with
+    k' = (m - r) / (1/k - trigamma(k)) from the inner likelihood equation,
+    gives P'' = n (-1/gamma**2 + k' (r - m) + k (r**2 - q)).  y and z are
+    scratch buffers, so an evaluation costs one exp() pass and the sums
+    of y, L y and L**2 y.  These are numpy sums, not BLAS dot products,
+    whose rounding above 1e4 elements depends on the thread count.
+    Returns (P', P'', shape, scale); raises DegenerateSampleError where
+    the inner problem is degenerate.
+    """
+    n = log_w.size
+    np.multiply(log_w, -gamma, out=y)
+    sum_y = float(np.exp(y, out=y).sum())
+    shape, scale, _ = _gamma_mle_from_stats(sum_y / n, -gamma * mean_log_w,
+                                            shape0)
+    r = float(np.multiply(log_w, y, out=z).sum()) / sum_y
+    q = float(np.multiply(z, log_w, out=z).sum()) / sum_y
+    dshape = (mean_log_w - r) / (1.0 / shape - float(zeta(2.0, shape)))
+    score = n * (1.0 / gamma + shape * (r - mean_log_w))
+    curvature = n * (-1.0 / (gamma * gamma) + dshape * (r - mean_log_w)
+                     + shape * (r * r - q))
+    return score, curvature, shape, scale
 
 
 def _iga_mle(samples):
@@ -241,59 +287,66 @@ def _giga_mle(samples, gamma_range=GAMMA_SEARCH_RANGE, gamma_tol=GAMMA_TOL):
     lo, hi = gamma_range
     if not 0.0 < lo <= hi:
         raise ValueError(f"invalid gamma search range {gamma_range}")
+    # the profile of w / exp(shift) peaks where that of w does; with
+    # centered logs the powers overflow only for a wide sample, not for
+    # one in other units
     log_w = np.log(x)
+    shift = float(log_w.mean())
+    log_w -= shift
     mean_log_w = float(log_w.mean())
-    evals = 0
-    shape = None  # each inner solve starts from the previous shape
-
-    def profile(g):
-        nonlocal evals, shape
-        evals += 1
-        try:
-            ll, shape, _, _ = _profile_at_gamma(log_w, mean_log_w, g, shape)
-        except DegenerateSampleError:
-            return -np.inf
-        return ll
-
     if lo == hi:
-        gam = lo
+        start, shape, evals = lo, None, 0
+        a = b = lo
     else:
         grid = np.linspace(lo, hi, _SCAN_POINTS)
         values, shapes = _profile_scan(log_w, mean_log_w, grid)
-        evals += grid.size
+        evals = grid.size
         best = int(np.argmax(values))  # first max: smallest gamma on ties
         if not np.isfinite(values[best]):
             raise DegenerateSampleError("profile likelihood undefined everywhere")
-        shape = float(shapes[best])
-        a = grid[max(best - 1, 0)]
-        b = grid[min(best + 1, len(grid) - 1)]
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = profile(c), profile(d)
-        while b - a > gamma_tol:
-            if fc >= fd:  # ties keep the left (smaller gamma) interval
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = profile(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = profile(d)
-        gam = 0.5 * (a + b)
+        start, shape = grid[best], float(shapes[best])
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
 
-    try:
-        _, shape, scale, _ = _profile_at_gamma(log_w, mean_log_w, gam, shape)
-    except DegenerateSampleError:
+    # safeguarded Newton on the score inside the bracket [a, b]: a
+    # bisection replaces any step that leaves the bracket, meets a
+    # non-negative curvature or a degenerate inner problem, or does not
+    # halve the previous move, so the moves shrink geometrically.  The
+    # search stops at the first evaluation after a move of at most
+    # gamma_tol, or where the score points out of the search range.
+    y, z = np.empty_like(log_w), np.empty_like(log_w)
+    gam, move = start, b - a
+    while True:
+        evals += 1
+        try:
+            d1, d2, shape, scale = _profile_score(log_w, mean_log_w, gam,
+                                                  shape, y, z)
+        except DegenerateSampleError:
+            d1 = d2 = scale = np.nan
+        if (gam == lo and d1 <= 0.0) or (gam == hi and d1 >= 0.0):
+            break
+        # the maximum lies where the score points; a degenerate point
+        # lies beyond the finite region around the start
+        if d1 > 0.0 or (np.isnan(d1) and gam < start):
+            a = gam
+        elif d1 < 0.0 or np.isnan(d1):
+            b = gam
+        if move <= gamma_tol:
+            break
+        step = -d1 / d2 if d2 < 0.0 else np.nan
+        new = (gam + step if a < gam + step < b and abs(step) <= 0.5 * move
+               else 0.5 * (a + b))
+        move, gam = abs(new - gam), new
+
+    if np.isnan(scale):
         raise DegenerateSampleError("degenerate sample at fitted gamma")
-    log_beta = -np.log(scale) / gam
+    log_beta = shift - np.log(scale) / gam
     beta = float(np.exp(log_beta)) if abs(log_beta) < 700.0 else np.inf
     converged = bool(np.isfinite(beta) and np.isfinite(shape))
     at_boundary = bool(lo < hi and (gam - lo <= 2 * gamma_tol
                                     or hi - gam <= 2 * gamma_tol))
     # keep the report inspectable even when beta over/underflowed
     params = GIGaParams(alpha=shape, beta=beta if converged else 1.0,
-                        gamma=gam)
+                        gamma=float(gam))
     return x, params, converged, evals, at_boundary
 
 
@@ -301,10 +354,13 @@ def fit_giga(samples, gamma_range=GAMMA_SEARCH_RANGE,
              gamma_tol=GAMMA_TOL) -> FitReport:
     """Three-parameter GIGa MLE by profile likelihood over the exponent.
 
-    Scans gamma_range coarsely, then refines the best bracket by
-    golden-section to |d gamma| <= gamma_tol.  Ties resolve to the
-    smallest maximizing gamma (flat profiles arise for near-lognormal
-    data).  Boundary solutions are flagged, not errored.
+    Scans gamma_range on 28 points, then refines the best bracket by
+    safeguarded Newton steps on the profile score until a step moves
+    gamma by at most gamma_tol (three or four score evaluations).  Ties in the
+    scan resolve to the smallest gamma (flat profiles arise for
+    near-lognormal data).  Where the score at the best scan point points
+    out of gamma_range, the fit returns that end exactly; boundary
+    solutions are flagged, not errored.
     """
     x, params, converged, evals, at_boundary = _giga_mle(
         samples, gamma_range, gamma_tol)

@@ -14,8 +14,9 @@ import bmnet
 from bmnet.distributions import GIGaParams, giga_logpdf, giga_sample, ln_sample, LNParams
 from bmnet.errors import DegenerateSampleError
 from bmnet.fitting import (GAMMA_SEARCH_RANGE, GAMMA_TOL, _minka_start,
-                           _newton_shape, _newton_shape_array, _profile_scan,
-                           fit_giga, fit_iga, fit_lognormal,
+                           _newton_shape, _newton_shape_array,
+                           _power_means, _profile_at_gamma, _profile_scan,
+                           _profile_score, fit_giga, fit_iga, fit_lognormal,
                            gamma_shape_scale_mle)
 
 
@@ -211,16 +212,30 @@ class TestGIGaFit:
         assert r.params.gamma == pytest.approx(0.05, abs=3e-4)
 
 
+def _exact_profile(log_w, gamma, shape0=None):
+    """Profile loglik and inner shape at gamma from its own exp() pass;
+    -inf where the inner problem is degenerate."""
+    try:
+        ll, shape, _, _ = _profile_at_gamma(log_w, float(log_w.mean()), gamma,
+                                            shape0)
+    except DegenerateSampleError:
+        return -np.inf, shape0
+    return ll, shape
+
+
 def _dense_argmax(log_w, lo, hi):
     grid = np.linspace(lo, hi, 4000)
-    ll, _ = _profile_scan(log_w, float(log_w.mean()), grid)
+    ll = [_exact_profile(log_w, g)[0] for g in grid]
     return grid[int(np.argmax(ll))], grid[1] - grid[0]
 
 
-@pytest.mark.parametrize("params,seed", [
+DENSE_ARGMAX_CASES = [
     (GIGaParams(6, 20, 0.5), 1), (GIGaParams(6, 20, 0.5), 2),
     (GIGaParams(3, 2, 1), 3), (GIGaParams(2, 1, 2.0), 4),
-    (GIGaParams(40, 1, 0.2), 5)])
+    (GIGaParams(40, 1, 0.2), 5)]
+
+
+@pytest.mark.parametrize("params,seed", DENSE_ARGMAX_CASES)
 def test_giga_gamma_is_dense_profile_argmax(params, seed):
     # a 4000-point profile over the whole search range locates the global
     # maximum to one grid step; a second 4000-point profile across that
@@ -233,7 +248,130 @@ def test_giga_gamma_is_dense_profile_argmax(params, seed):
     r = fit_giga(np.exp(log_w))
     assert abs(r.params.gamma - fine) <= GAMMA_TOL
     if not r.at_boundary:
-        assert r.iterations == 47  # 28 scan points + 19 golden-section
+        # 28 scan points plus the score evaluations of the Newton search
+        assert 28 < r.iterations <= 40
+
+
+@pytest.mark.parametrize("params,seed", DENSE_ARGMAX_CASES)
+def test_profile_score_matches_central_differences(params, seed):
+    log_w = np.log(giga_sample(params, 2000, seed=seed))
+    n = log_w.size
+    y, z = np.empty_like(log_w), np.empty_like(log_w)
+    for gamma in (0.3, 1.0, 2.5, fit_giga(np.exp(log_w)).params.gamma):
+        d1, d2, _, _ = _profile_score(log_w, float(log_w.mean()), gamma, None,
+                                      y, z)
+        ll = {h: _exact_profile(log_w, gamma + h)[0]
+              for h in (-1e-3, -1e-4, 0.0, 1e-4, 1e-3)}
+        assert d1 == pytest.approx((ll[1e-4] - ll[-1e-4]) / 2e-4,
+                                   abs=1e-9 * n)
+        assert d2 == pytest.approx(
+            (ll[1e-3] - 2.0 * ll[0.0] + ll[-1e-3]) / 1e-6, rel=1e-5)
+
+
+def test_power_means_match_direct_exp():
+    grid = np.linspace(*GAMMA_SEARCH_RANGE, 28)
+    rng = np.random.default_rng(8)
+    samples = [np.log(giga_sample(GIGaParams(6, 20, 0.5), 2000, seed=1)),
+               30.0 + rng.normal(0.0, 1.0, 2000),
+               -30.0 + rng.normal(0.0, 1.0, 2000),
+               rng.uniform(-30.0, 30.0, 2000)]
+    for log_w in samples:
+        direct = [np.exp(-g * log_w).mean() for g in grid]
+        np.testing.assert_allclose(_power_means(log_w, grid), direct,
+                                   rtol=1e-13, atol=0.0)
+
+
+def test_overflowing_powers_give_minus_inf_not_nan():
+    # w = e**-200: w**-g overflows from g = 3.55, inside the search range
+    grid = np.linspace(*GAMMA_SEARCH_RANGE, 28)
+    log_w = np.r_[np.full(5, -200.0),
+                  np.random.default_rng(9).normal(0.0, 1.0, 100)]
+    with np.errstate(over="ignore"):
+        direct = np.array([np.exp(-g * log_w).mean() for g in grid])
+        means = _power_means(log_w, grid)
+        ll, _ = _profile_scan(log_w, float(log_w.mean()), grid)
+    overflow = np.isinf(direct)
+    assert overflow.any() and not overflow.all()
+    np.testing.assert_array_equal(np.isinf(means), overflow)
+    np.testing.assert_allclose(means[~overflow], direct[~overflow],
+                               rtol=1e-13, atol=0.0)
+    assert not np.isnan(ll).any()
+    assert np.all(ll[overflow] == -np.inf)
+    assert np.all(np.isfinite(ll[~overflow]))
+
+
+def test_maximum_at_upper_bound_returns_exactly_hi():
+    # the profile still rises at gamma = 4 for data with gamma = 6
+    x = giga_sample(GIGaParams(2, 1, 6.0), 2000, seed=0)
+    r = fit_giga(x)
+    assert r.params.gamma == GAMMA_SEARCH_RANGE[1]
+    assert r.at_boundary and r.converged
+    assert r.iterations == 29  # the scan plus one score evaluation
+    # in units where w**-4 would overflow the fit is the same: it
+    # centers log w before taking powers
+    assert fit_giga(1e-90 * x).params.gamma == GAMMA_SEARCH_RANGE[1]
+    log_w = np.log(x)
+    d1, _, _, _ = _profile_score(log_w, float(log_w.mean()),
+                                 GAMMA_SEARCH_RANGE[1], None,
+                                 np.empty_like(log_w), np.empty_like(log_w))
+    assert d1 > 0.0
+
+
+def test_search_stops_short_of_overflowing_powers():
+    # w**-gamma overflows above gamma = 1.86 for w = e**-400 (the fit
+    # centers log w first) while the profile still rises: the search
+    # must settle below that edge with finite parameters
+    log_w = np.r_[np.full(5, -400.0),
+                  np.random.default_rng(9).normal(0.0, 1.0, 100)]
+    x = np.exp(log_w)
+    with np.errstate(over="ignore"):
+        r = fit_giga(x)
+        with pytest.raises(DegenerateSampleError):
+            fit_giga(x, gamma_range=(1.87, 1.87))
+    assert r.converged and not r.at_boundary
+    assert 1.8 < r.params.gamma < 1.87
+    assert np.isfinite(r.loglik)
+
+
+def _golden_section_reference(log_w):
+    """The coarse scan plus golden-section search that the Newton search
+    replaced, on exact profile evaluations; it gives the former fit's
+    gamma to the bit."""
+    lo, hi = GAMMA_SEARCH_RANGE
+    grid = np.linspace(lo, hi, 28)
+    scan = [_exact_profile(log_w, g) for g in grid]
+    best = int(np.argmax([ll for ll, _ in scan]))
+    shape = scan[best][1]
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, shape = _exact_profile(log_w, c, shape)
+    fd, shape = _exact_profile(log_w, d, shape)
+    while b - a > GAMMA_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc, shape = _exact_profile(log_w, c, shape)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd, shape = _exact_profile(log_w, d, shape)
+    return 0.5 * (a + b)
+
+
+def test_newton_search_refines_golden_section_answer():
+    # 200 samples across the dense-argmax parameter sets: the Newton
+    # answer lies within GAMMA_TOL of the golden-section one, and its
+    # profile loglik is not below it beyond the rounding of the profile
+    for i, (params, _) in enumerate(DENSE_ARGMAX_CASES):
+        for s in range(40):
+            log_w = np.log(giga_sample(params, 2000, seed=10000 + 100 * i + s))
+            golden = _golden_section_reference(log_w)
+            newton = fit_giga(np.exp(log_w)).params.gamma
+            assert abs(newton - golden) <= GAMMA_TOL
+            ll_golden = _exact_profile(log_w, golden)[0]
+            assert (_exact_profile(log_w, newton)[0]
+                    >= ll_golden - 1e-12 * abs(ll_golden))
 
 
 def test_import_leaves_scipy_optimize_unloaded():
