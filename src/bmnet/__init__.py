@@ -3,13 +3,13 @@ generalized-inverse-gamma fitting, and bootstrap goodness of fit."""
 
 from .distributions import (GIGaParams, LNParams, giga_cdf, giga_logpdf,
                             giga_mean, giga_pdf, giga_quantile, giga_sample,
-                            ln_cdf, ln_logpdf, ln_mean, ln_pdf, ln_sample,
+                            ln_cdf, ln_logpdf, ln_pdf, ln_sample,
                             stationary_giga, theta_of_gamma,
                             transient_lognormal_J0)
 from .engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
-                     NetworkDynamics, SimConfig, Snapshot, milstein_step,
-                     simulate, step_noise, strong_convergence_study,
-                     taylor15_step, to_unscaled)
+                     NetworkDynamics, SimConfig, milstein_step, simulate,
+                     step_noise, strong_convergence_study, taylor15_step,
+                     to_unscaled)
 from .errors import ConfigError, DegenerateSampleError, PositivityError
 from .fitting import (FitReport, fit_giga, fit_iga, fit_lognormal,
                       gamma_shape_scale_mle)
@@ -20,10 +20,10 @@ from .topology import (NetworkTopology, build_complete, build_random_smallworld,
 __all__ = [
     "GIGaParams", "LNParams", "giga_cdf", "giga_logpdf", "giga_mean",
     "giga_pdf", "giga_quantile", "giga_sample", "ln_cdf", "ln_logpdf",
-    "ln_mean", "ln_pdf", "ln_sample", "stationary_giga", "theta_of_gamma",
+    "ln_pdf", "ln_sample", "stationary_giga", "theta_of_gamma",
     "transient_lognormal_J0",
     "EFTDynamics", "MeanFieldDynamics", "ModelParams", "NetworkDynamics",
-    "SimConfig", "Snapshot", "milstein_step", "simulate", "step_noise",
+    "SimConfig", "milstein_step", "simulate", "step_noise",
     "strong_convergence_study", "taylor15_step", "to_unscaled",
     "ConfigError", "DegenerateSampleError", "PositivityError",
     "FitReport", "fit_giga", "fit_iga", "fit_lognormal",

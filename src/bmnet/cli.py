@@ -37,8 +37,9 @@ _DEFAULT_CONVERGENCE_DTS = [2.0 ** -k for k in range(4, 10)]
 # in about the 12th digit.  4: the GIGa exponent search became a
 # safeguarded Newton solve on the profile score, after a scan whose
 # powers come by recursion, so the GIGa rows change; LN and IGa rows do
-# not.
-FORMAT_VERSION = 4
+# not.  5: the Taylor step sums a factored update and one Jacobian
+# product, so Taylor runs change in about the 15th digit; Milstein's do not.
+FORMAT_VERSION = 5
 
 EVOLUTION_HEADER = ("t,family,alpha,beta,gamma,mu,s,gamma_hat,"
                     "alpha_gamma_hat,loglik,ks_stat,p_value,converged")

@@ -200,7 +200,3 @@ def ln_sample(p: LNParams, count: int, seed) -> np.ndarray:
         raise ValueError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     return np.exp(p.mu + p.s * rng.standard_normal(count))
-
-
-def ln_mean(p: LNParams) -> float:
-    return math.exp(p.mu + 0.5 * p.s * p.s)

@@ -11,10 +11,11 @@ limit (f_i = J (wbar - w_i)), or the decoupled effective-field form
 exp(sigma^2 t) growth of the raw wealth, which :func:`to_unscaled`
 restores.
 
-Each dynamics class holds the one implementation of its drift, and the
-analytic drift Jacobian contractions of the order-1.5 scheme.  Both
-strong integrators for diagonal noise, Milstein (order 1.0) and the
-order 1.5 strong Taylor scheme, take the dynamics and share one loop.
+Each dynamics class holds the one implementation of its drift, and of
+its Jacobian product and curvature term sigma^2 w^2 f'' for the order
+1.5 scheme.  Both strong integrators for diagonal noise, Milstein (order
+1.0) and the order 1.5 strong Taylor scheme, take the dynamics and share
+one loop.
 
 Noise is counter-based: the Gaussian increments of step k come from a
 Philox stream keyed by the run seed with the step index in the counter,
@@ -198,9 +199,10 @@ class NetworkDynamics:
         # the drift is linear: its Jacobian is the coupling operator itself
         return self._apply(v, params.J)
 
-    def l0_drift(self, w, f, params: ModelParams) -> np.ndarray:
-        # generator applied to a linear drift: second derivatives vanish
-        return self._apply(f, params.J)
+    def l0_drift(self, w, f, params: ModelParams) -> None:
+        """sigma^2 w^2 f'', the Taylor step's curvature term, given the
+        drift f at w; None when, as here, the drift is linear."""
+        return None
 
 
 class MeanFieldDynamics:
@@ -214,8 +216,8 @@ class MeanFieldDynamics:
     def jacobian_apply(self, w, v, params: ModelParams) -> np.ndarray:
         return params.J * (v.mean() - v)
 
-    def l0_drift(self, w, f, params: ModelParams) -> np.ndarray:
-        return params.J * (f.mean() - f)
+    def l0_drift(self, w, f, params: ModelParams) -> None:
+        return None  # a linear drift has no curvature term
 
 
 class EFTDynamics:
@@ -255,23 +257,20 @@ class EFTDynamics:
         return fp * v
 
     def l0_drift(self, w, f, params: ModelParams) -> np.ndarray:
+        """sigma^2 w^2 f'' = -sigma^2 g (1 - g) J theta w^(1-g), given the
+        drift f at w, which makes J theta w^(1-g) = f + J w: no power."""
         g = self.gamma_eft
-        th = self._theta(params)
-        fp = params.J * ((1.0 - g) * th * w ** (-g) - 1.0)
-        fpp = -params.J * (1.0 - g) * g * th * w ** (-g - 1.0)
-        return f * fp + params.sigma2 * w * w * fpp
+        return (-params.sigma2 * g * (1.0 - g)) * (f + params.J * w)
 
 
-def _milstein_update(w: np.ndarray, dynamics, params: ModelParams, dt: float,
-                     dB: np.ndarray, keep_dbsq: bool):
-    """Check a step's arguments and evaluate the Milstein update.
+def milstein_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
+                  dt: float, dB: np.ndarray, dZ=None) -> np.ndarray:
+    """One Milstein step from w at time t: Euler-Maruyama plus
+    sigma^2 w (dB^2 - dt).  dZ is unused; both schemes share one call.
 
-    Returns (f, w_new, tmp, dbsq, u): the drift f at w, the new array
-    w_new = ((w + f dt) + (c w) dB) + (s2 w)(dB^2 - dt) with
-    c = sqrt(2) sigma and s2 = sigma^2, summed in that order, a scratch
-    array tmp, and u = dB^2 - dt.  dbsq holds dB^2 only with
-    ``keep_dbsq``; otherwise u is computed in place over it.  The ufuncs
-    write only into arrays made here, never into w, dB or f.
+    The new state ((w + f dt) + (c w) dB) + (s2 w)(dB^2 - dt), with
+    c = sqrt(2) sigma and s2 = sigma^2, is summed in that order, and the
+    ufuncs write only into arrays made here, never into w, dB or f.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -284,19 +283,11 @@ def _milstein_update(w: np.ndarray, dynamics, params: ModelParams, dt: float,
     tmp = np.multiply(w, math.sqrt(2.0) * sigma)
     np.multiply(tmp, dB, tmp)
     np.add(w_new, tmp, w_new)
-    dbsq = np.multiply(dB, dB)
-    u = np.subtract(dbsq, dt, None if keep_dbsq else dbsq)
+    u = np.multiply(dB, dB)
+    np.subtract(u, dt, u)
     np.multiply(w, sigma * sigma, tmp)
     np.multiply(tmp, u, tmp)
     np.add(w_new, tmp, w_new)
-    return f, w_new, tmp, dbsq, u
-
-
-def milstein_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
-                  dt: float, dB: np.ndarray, dZ=None) -> np.ndarray:
-    """One Milstein step from w at time t: Euler-Maruyama plus
-    sigma^2 w (dB^2 - dt).  dZ is unused; both schemes share one call."""
-    w_new = _milstein_update(w, dynamics, params, dt, dB, False)[1]
     _check_positive_state(w_new, t + dt)
     return w_new
 
@@ -304,43 +295,51 @@ def milstein_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
 def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
                   dt: float, dB: np.ndarray, dZ) -> np.ndarray:
     """One step of the order-1.5 strong Taylor scheme for diagonal noise
-    g_i = sqrt(2) sigma w_i, from w at time t.
+    g_i = sqrt(2) sigma w_i, from w at time t; it needs the auxiliary dZ.
 
-    On top of the Milstein update this adds the mixed Brownian-time
-    terms, using the drift Jacobian and generator contractions supplied
-    analytically by the dynamics.  Requires the auxiliary increment dZ.
+    With c = sqrt(2) sigma and s2 = sigma^2, c Jac(w dZ) + (dt^2/2) L0 f
+    = Jac (c w dZ + (dt^2/2) f) + (dt^2/2) s2 w^2 f'', so the step is
+
+        w (1 - s2 dt + dB (c - c s2 dt + dB (s2 + dB c s2 / 3)))
+        + f (dt + c (dB dt - dZ)) + Jac (c w dZ + (dt^2/2) f)
+        + (dt^2/2) s2 w^2 f''
+
+    with one Jacobian product; ``l0_drift`` gives s2 w^2 f'', or None for
+    a linear drift.  The ufuncs write only into arrays made here.
     """
     if dZ is None:
         raise ValueError("order-1.5 scheme needs the auxiliary dZ increment")
-    f, w_new, tmp, dbsq, u = _milstein_update(w, dynamics, params, dt, dB,
-                                              True)
-    sig = params.sigma
-    sq2sig = math.sqrt(2.0) * sig
-    jac = dynamics.jacobian_apply(w, w * dZ, params)
-    l0 = dynamics.l0_drift(w, f, params)
-    # the five terms below go on adding to the Milstein update left to
-    # right, each evaluated in the order of the written expression
-    #   + c Jac(w dZ) + 0.5 L0 dt dt + c f (dB dt - dZ)
-    #   + sqrt(2) sig^3 w (dB^2/3 - dt) dB
-    # (c = sqrt(2) sig), through the update's scratch arrays; w, dB, dZ
-    # and the arrays the dynamics return are only read
-    np.multiply(jac, sq2sig, tmp)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if dB.size != w.size or dZ.size != w.size:
+        raise ValueError("noise dimension does not match state")
+    s2 = params.sigma2
+    c = math.sqrt(2.0) * params.sigma
+    half_dt2 = 0.5 * dt * dt
+    f = dynamics.drift(w, params)
+    v = np.multiply(w, dZ)
+    np.multiply(v, c, v)
+    tmp = np.multiply(f, half_dt2)
+    np.add(v, tmp, v)
+    jac = dynamics.jacobian_apply(w, v, params)
+    curv = dynamics.l0_drift(w, f, params)
+    w_new = np.multiply(dB, c * s2 / 3.0)
+    np.add(w_new, s2, w_new)
+    np.multiply(w_new, dB, w_new)
+    np.add(w_new, c - c * s2 * dt, w_new)
+    np.multiply(w_new, dB, w_new)
+    np.add(w_new, 1.0 - s2 * dt, w_new)
+    np.multiply(w_new, w, w_new)
+    np.multiply(dB, dt, tmp)
+    np.subtract(tmp, dZ, tmp)
+    np.multiply(tmp, c, tmp)
+    np.add(tmp, dt, tmp)
+    np.multiply(tmp, f, tmp)
     np.add(w_new, tmp, w_new)
-    np.multiply(l0, 0.5, tmp)
-    np.multiply(tmp, dt, tmp)
-    np.multiply(tmp, dt, tmp)
-    np.add(w_new, tmp, w_new)
-    np.multiply(dB, dt, u)
-    np.subtract(u, dZ, u)
-    np.multiply(f, sq2sig, tmp)
-    np.multiply(tmp, u, tmp)
-    np.add(w_new, tmp, w_new)
-    np.divide(dbsq, 3.0, dbsq)
-    np.subtract(dbsq, dt, dbsq)
-    np.multiply(w, math.sqrt(2.0) * sig ** 3, tmp)
-    np.multiply(tmp, dbsq, tmp)
-    np.multiply(tmp, dB, tmp)
-    np.add(w_new, tmp, w_new)
+    np.add(w_new, jac, w_new)
+    if curv is not None:
+        np.multiply(curv, half_dt2, tmp)
+        np.add(w_new, tmp, w_new)
     _check_positive_state(w_new, t + dt)
     return w_new
 

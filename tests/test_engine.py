@@ -48,9 +48,6 @@ class ReadOnlyMeanField(MeanFieldDynamics):
     def jacobian_apply(self, w, v, params):
         return _read_only(super().jacobian_apply(w, v, params))
 
-    def l0_drift(self, w, f, params):
-        return _read_only(super().l0_drift(w, f, params))
-
 
 def network_drift(w, top):
     return NetworkDynamics(top).drift(np.asarray(w, dtype=float), BASE_PARAMS)
@@ -81,33 +78,41 @@ class TestInteractionDrift:
         assert np.all(f[~isolated] != 0.0)
 
     @given(st.integers(min_value=0, max_value=200))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_conservation_on_random_states(self, seed):
+        # the drift, and the Jacobian product the Taylor step applies to a
+        # signed vector, sum to zero within criterion 11a's bound on every
+        # topology (ring degrees odd and even) and for mean-field
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 120))
-        kind = seed % 3
+        kind = seed % 4
         if kind == 0:
             top = build_complete(n)
         elif kind == 1:
-            top = build_regular_ring(2 * n, int(rng.integers(1, n)) * 2)
-        else:
+            top = build_regular_ring(2 * n, int(rng.integers(1, 2 * n)))
+        elif kind == 2:
             top = build_random_smallworld(n, float(rng.uniform(0.05, 0.9)),
                                           seed=seed)
             if top.n_divisor == 0:
                 return
-        w = rng.gamma(3.0, 0.4, top.N) + 1e-3
-        f = network_drift(w, top)
-        assert abs(f.sum()) <= top.N * np.finfo(float).eps * np.abs(w).max()
+        size = n if kind != 1 else 2 * n
+        dyn = MeanFieldDynamics() if kind == 3 else NetworkDynamics(top)
+        w = rng.gamma(3.0, 0.4, size) + 1e-3
+        v = rng.normal(size=size)
+        eps = size * np.finfo(float).eps
+        assert abs(dyn.drift(w, BASE_PARAMS).sum()) <= eps * np.abs(w).max()
+        assert abs(dyn.jacobian_apply(w, v, BASE_PARAMS).sum()) <= \
+            eps * np.abs(v).max()
 
     @pytest.mark.parametrize("size", [299, 301, 1])
     def test_smallworld_rejects_wrong_size(self, size):
         # a vector whose size is not N must raise, never be read past its
-        # end or broadcast, in every apply and in both steps
+        # end or broadcast, in every apply of the operator and in both
+        # steps (l0_drift applies none: a linear drift has no curvature)
         dyn = NetworkDynamics(build_random_smallworld(300, 0.03, seed=1))
         v = np.ones(size)
         for apply in (lambda: dyn.drift(v, BASE_PARAMS),
                       lambda: dyn.jacobian_apply(np.ones(300), v, BASE_PARAMS),
-                      lambda: dyn.l0_drift(np.ones(300), v, BASE_PARAMS),
                       lambda: milstein_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
                                             np.zeros(size)),
                       lambda: taylor15_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
@@ -272,6 +277,11 @@ class TestTaylor15Step:
             taylor15_step(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
                           0.01, np.zeros(3), None)
 
+    def test_rejects_mismatched_dz(self):
+        with pytest.raises(ValueError):
+            taylor15_step(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
+                          0.01, np.zeros(3), np.zeros(1))
+
     def test_noise_free_second_order_reduction(self):
         # sigma -> 0: w + f dt + (1/2) (Jacobian f) dt^2
         params = ModelParams(sigma=1e-9, J=0.3)
@@ -321,6 +331,84 @@ class TestTaylor15Step:
         eps = 1e-7
         fd = (dyn.drift(w + eps * v, BASE_PARAMS) - dyn.drift(w - eps * v, BASE_PARAMS)) / (2 * eps)
         assert np.allclose(dyn.jacobian_apply(w, v, BASE_PARAMS), fd, atol=1e-6)
+
+
+def _dense_adjacency(top):
+    """The adjacency matrix of a topology, entry by entry."""
+    N = top.N
+    A = np.zeros((N, N))
+    if top.kind == "complete":
+        A[:] = 1.0
+        np.fill_diagonal(A, 0.0)
+    elif top.kind == "regular_ring":
+        for i in range(N):
+            A[i, naive_ring_neighbors(N, int(top.n_divisor), i)] = 1.0
+    else:
+        rows = np.repeat(np.arange(N), np.diff(top.indptr))
+        A[rows, top.indices] = 1.0
+    return A
+
+
+ORACLE_PARAMS = ModelParams.from_sigma2(0.05, 0.3)
+ORACLE_CASES = {
+    "complete": lambda: NetworkDynamics(build_complete(40)),
+    "ring-even": lambda: NetworkDynamics(build_regular_ring(40, 6)),
+    "ring-odd": lambda: NetworkDynamics(build_regular_ring(40, 7)),
+    "smallworld": lambda: NetworkDynamics(
+        build_random_smallworld(60, 0.2, seed=4)),
+    "meanfield": MeanFieldDynamics,
+    "eft": lambda: EFTDynamics(0.4),
+}
+
+
+def _derivatives(dyn, w, params):
+    """Drift, Jacobian matrix and f'' (None if the drift is linear),
+    written out from the model rather than from the dynamics' methods."""
+    J, N = params.J, w.size
+    if dyn.kind == "eft":
+        g, th = dyn.gamma_eft, dyn._theta(params)
+        f = J * (th * w ** (1.0 - g) - w)
+        jac = np.diag(J * ((1.0 - g) * th * w ** (-g) - 1.0))
+        return f, jac, -J * (1.0 - g) * g * th * w ** (-g - 1.0)
+    if dyn.kind == "meanfield":
+        jac = J * (np.full((N, N), 1.0 / N) - np.eye(N))
+    else:
+        A = _dense_adjacency(dyn.topology)
+        jac = (J / dyn.topology.n_divisor) * (A - np.diag(A.sum(axis=1)))
+    return jac @ w, jac, None
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_taylor15_step_matches_written_out_scheme(case):
+    # the order-1.5 strong Taylor scheme (Kloeden & Platen 1992, sec.
+    # 10.4) for g = c w, term by term, with dense Jacobian matrices
+    dyn = ORACLE_CASES[case]()
+    params, dt = ORACLE_PARAMS, 0.05
+    rng = np.random.default_rng(len(case))
+    N = 60 if case == "smallworld" else 40
+    w = rng.gamma(3.0, 0.4, N) + 0.05
+    db, dz = step_noise(11, 0, N, dt, with_dz=True)
+    f, jac, fpp = _derivatives(dyn, w, params)
+    s2, c = params.sigma2, math.sqrt(2.0) * params.sigma
+    l0 = jac @ f + (0 if fpp is None else s2 * w * w * fpp)
+    expected = (w + f * dt + c * w * db + s2 * w * (db * db - dt)
+                + c * (jac @ (w * dz)) + 0.5 * dt * dt * l0
+                + c * f * (db * dt - dz)
+                + c * s2 * w * (db * db / 3.0 - dt) * db)
+    out = taylor15_step(w, 0.0, dyn, params, dt, db, dz)
+    assert np.all(np.abs(out - expected) <= 1e-13 * np.abs(expected))
+    curv = dyn.l0_drift(w, dyn.drift(w, params), params)
+    assert (curv is None) == (fpp is None)
+
+
+def test_eft_curvature_matches_second_difference():
+    dyn = EFTDynamics(0.4)
+    w = np.random.default_rng(6).gamma(3.0, 0.4, 30) + 0.1
+    h = 1e-3 * w
+    d2 = (dyn.drift(w + h, ORACLE_PARAMS) - 2.0 * dyn.drift(w, ORACLE_PARAMS)
+          + dyn.drift(w - h, ORACLE_PARAMS)) / (h * h)
+    curv = dyn.l0_drift(w, dyn.drift(w, ORACLE_PARAMS), ORACLE_PARAMS)
+    assert curv == pytest.approx(ORACLE_PARAMS.sigma2 * w * w * d2, rel=1e-5)
 
 
 class TestNoiseStreams:
