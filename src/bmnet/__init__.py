@@ -2,32 +2,25 @@
 generalized-inverse-gamma fitting, and bootstrap goodness of fit."""
 
 from .distributions import (GIGaParams, LNParams, giga_cdf, giga_logpdf,
-                            giga_mean, giga_pdf, giga_quantile, giga_sample,
-                            ln_cdf, ln_logpdf, ln_pdf, ln_sample,
-                            stationary_giga, theta_of_gamma,
-                            transient_lognormal_J0)
+                            giga_sample, ln_cdf, ln_logpdf, ln_sample,
+                            stationary_giga, theta_of_gamma)
 from .engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
                      NetworkDynamics, SimConfig, milstein_step, simulate,
-                     step_noise, strong_convergence_study, taylor15_step,
-                     to_unscaled)
+                     step_noise, strong_convergence_study, taylor15_step)
 from .errors import ConfigError, DegenerateSampleError, PositivityError
-from .fitting import (FitReport, fit_giga, fit_iga, fit_lognormal,
-                      gamma_shape_scale_mle)
+from .fitting import FitReport, fit_giga, fit_iga, fit_lognormal
 from .gof import GofReport, compare_families, ks_pvalue_bootstrap, ks_statistic
 from .topology import (NetworkTopology, build_complete, build_random_smallworld,
                        build_regular_ring)
 
 __all__ = [
-    "GIGaParams", "LNParams", "giga_cdf", "giga_logpdf", "giga_mean",
-    "giga_pdf", "giga_quantile", "giga_sample", "ln_cdf", "ln_logpdf",
-    "ln_pdf", "ln_sample", "stationary_giga", "theta_of_gamma",
-    "transient_lognormal_J0",
+    "GIGaParams", "LNParams", "giga_cdf", "giga_logpdf", "giga_sample",
+    "ln_cdf", "ln_logpdf", "ln_sample", "stationary_giga", "theta_of_gamma",
     "EFTDynamics", "MeanFieldDynamics", "ModelParams", "NetworkDynamics",
     "SimConfig", "milstein_step", "simulate", "step_noise",
-    "strong_convergence_study", "taylor15_step", "to_unscaled",
+    "strong_convergence_study", "taylor15_step",
     "ConfigError", "DegenerateSampleError", "PositivityError",
     "FitReport", "fit_giga", "fit_iga", "fit_lognormal",
-    "gamma_shape_scale_mle",
     "GofReport", "compare_families", "ks_pvalue_bootstrap", "ks_statistic",
     "NetworkTopology", "build_complete", "build_random_smallworld",
     "build_regular_ring",

@@ -84,7 +84,8 @@ def _validate_samples(samples, min_n: int) -> np.ndarray:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < min_n:
         raise ValueError(f"need at least {min_n} samples, got {x.size}")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
+    # argmin and argmax point at a NaN if there is one
+    if not (x[x.argmin()] > 0 and x[x.argmax()] < np.inf):
         raise ValueError("samples must be positive and finite")
     return x
 
@@ -160,6 +161,8 @@ def _gamma_mle_from_stats(mean_y: float, mean_log_y: float, shape0=None):
         raise DegenerateSampleError("no dispersion; gamma MLE undefined")
     shape, steps = _newton_shape(s, _minka_start(s) if shape0 is None
                                  else shape0)
+    if mean_y / shape == np.inf:
+        raise DegenerateSampleError("gamma MLE scale overflows")
     return shape, mean_y / shape, steps
 
 
@@ -257,6 +260,12 @@ def _profile_score(log_w: np.ndarray, mean_log_w: float, gamma: float,
                                             shape0)
     r = float(np.multiply(log_w, y, out=z).sum()) / sum_y
     q = float(np.multiply(z, log_w, out=z).sum()) / sum_y
+    if not np.isfinite(r + q):
+        # on a sample spanning e**380 or more the sums weighted by L
+        # overflow before that of y; y / max(y) gives the same means
+        sum_y = float(np.divide(y, y.max(), out=y).sum())
+        r = float(np.multiply(log_w, y, out=z).sum()) / sum_y
+        q = float(np.multiply(z, log_w, out=z).sum()) / sum_y
     dshape = (mean_log_w - r) / (1.0 / shape - float(zeta(2.0, shape)))
     score = n * (1.0 / gamma + shape * (r - mean_log_w))
     curvature = n * (-1.0 / (gamma * gamma) + dshape * (r - mean_log_w)

@@ -4,8 +4,10 @@ Because the candidate parameters are estimated from the data, the
 asymptotic KS null distribution does not apply; significance is
 calibrated by refitting the same family on synthetic replicates drawn
 from the fitted law and comparing their KS statistics to the observed
-one.  Replicate seeds derive from (seed, replicate index), so the
-procedure is deterministic and replicates could run in any order.
+one.  A p-value needs only whether each replicate's distance reaches
+the observed one, so only the observed distance is computed exactly.
+Replicate seeds derive from (seed, replicate index), so the procedure
+is deterministic and replicates could run in any order.
 """
 
 from __future__ import annotations
@@ -82,7 +84,16 @@ def ks_statistic(samples, cdf) -> float:
     where monotonicity lets the deviation reach the largest one seen at
     an anchor (less 1e-12, for CDFs monotone only to within rounding).
     The result equals a full evaluation on the sorted sample bit for bit.
+    Bootstrap replicates do not call it: a p-value needs only whether
+    each replicate's distance reaches the observed one.
     """
+    return _ks_distance(samples, cdf)
+
+
+def _ks_distance(samples, cdf, reach=None) -> float:
+    """:func:`ks_statistic`; given ``reach``, some v <= the distance with
+    v >= reach exactly when the distance >= reach, from the anchors if
+    they reach it, else also from the blocks whose bound reaches it."""
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     if x.size == 0:
         raise ValueError("KS statistic needs a nonempty sample")
@@ -96,10 +107,14 @@ def ks_statistic(samples, cdf) -> float:
     steps = (anchors + 1) / n
     lows = steps - 1.0 / n
     d = max(np.max(steps - f), np.max(f - lows))
+    if reach is None:
+        reach = d
+    elif d >= reach:
+        return float(d)
     # inside a block (a, b) the deviation is at most
     # max(steps[b] - F(x_a), F(x_b) - lows[a])
     bound = np.maximum(steps[1:] - f[:-1], f[1:] - lows[:-1])
-    blocks = np.flatnonzero(bound >= d - _KS_SLACK)
+    blocks = np.flatnonzero(bound >= reach - _KS_SLACK)
     idx = (anchors[blocks, None] + np.arange(1, _KS_BLOCK)).ravel()
     idx = idx[idx < n - 1]  # only the last block can be shorter
     if idx.size:
@@ -115,7 +130,8 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
 
     Fit the family, measure the observed KS distance, then refit on B
     synthetic samples of the same size drawn from the fitted law; the
-    p-value is the fraction of replicates at least as extreme.
+    p-value is the fraction of replicates at least as extreme.  Only
+    that decision is made for each replicate, not its exact distance.
     Replicates whose refit fails are discarded and counted.
     """
     if family not in _FIT:
@@ -137,7 +153,7 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
         except (DegenerateSampleError, ValueError):
             discarded += 1
             continue
-        d_b = ks_statistic(synth, lambda v: cdf(refit_params, v))
+        d_b = _ks_distance(synth, lambda v: cdf(refit_params, v), d_obs)
         if d_b >= d_obs:
             exceed += 1
     return GofReport(fit=fit, ks_stat=d_obs, p_value=exceed / B,

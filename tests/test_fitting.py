@@ -45,6 +45,17 @@ class TestLognormalFit:
         assert abs(r.params.s - true.s) < 3 * true.s / math.sqrt(2 * n)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+@pytest.mark.parametrize("at", [0, 6, 11])
+@pytest.mark.parametrize("fit", [fit_lognormal, fit_iga, fit_giga,
+                                 gamma_shape_scale_mle])
+def test_rejects_nonfinite_and_nonpositive_samples(fit, at, bad):
+    x = np.linspace(0.5, 3.0, 12)
+    x[at] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        fit(x)
+
+
 class TestGammaMLE:
     def test_synthetic_recovery(self):
         y = np.random.default_rng(123).gamma(2.0, 3.0, 10 ** 5)
@@ -331,6 +342,23 @@ def test_search_stops_short_of_overflowing_powers():
     assert r.converged and not r.at_boundary
     assert 1.8 < r.params.gamma < 1.87
     assert np.isfinite(r.loglik)
+    # and settles at the edge of the finite profile, found by bisection
+    centered = log_w - log_w.mean()
+
+    def finite(gamma):
+        try:
+            with np.errstate(over="ignore"):
+                ll = _profile_at_gamma(centered, float(centered.mean()),
+                                       gamma)[0]
+        except DegenerateSampleError:
+            return False
+        return np.isfinite(ll)
+    lo, hi = 1.8, 1.87
+    assert finite(lo) and not finite(hi)
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    assert abs(r.params.gamma - lo) <= 2 * GAMMA_TOL
 
 
 def _golden_section_reference(log_w):

@@ -1,5 +1,6 @@
 """KS statistic properties and parametric-bootstrap behavior."""
 
+import inspect
 import math
 from unittest import mock
 
@@ -12,6 +13,7 @@ from bmnet import fitting, gof
 from bmnet.distributions import (GIGaParams, LNParams, giga_cdf, giga_sample,
                                  ln_cdf, ln_sample)
 from bmnet.engine import MeanFieldDynamics, ModelParams, SimConfig, simulate
+from bmnet.errors import DegenerateSampleError
 from bmnet.fitting import fit_giga
 from bmnet.gof import compare_families, ks_pvalue_bootstrap, ks_statistic
 
@@ -149,7 +151,100 @@ class TestBlockBoundedKs:
         assert sum(seen) < n / 4
 
 
+def anchor_max(samples, cdf):
+    """Largest deviation at every 16th sorted value and the largest."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    anchors = np.minimum(np.arange(0, n + 15, 16), n - 1)
+    f = np.asarray(cdf(x[anchors]), dtype=float)
+    steps = (anchors + 1) / n
+    return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+
+
+def test_ks_statistic_keeps_its_two_parameters():
+    # benchmark/traced_evolve.py replaces gof.ks_statistic by a wrapper
+    # taking exactly (samples, cdf); another parameter would make every
+    # traced benchmark run fail
+    assert list(inspect.signature(gof.ks_statistic).parameters) == \
+        ["samples", "cdf"]
+
+
+class TestKsDecision:
+    @given(st.sampled_from(["identity", "LN", "GIGa"]),
+           st.one_of(st.integers(1, 1023), st.integers(1024, 3000)),
+           st.integers(0, 10 ** 6), st.booleans(),
+           st.sampled_from([0.0, 0.0, 1e-3, 0.05, 0.5]),
+           st.floats(0.0, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_decides_as_the_exact_distance(self, cdf_kind, n, seed, ties,
+                                           misfit, u):
+        x, cdf = _ks_case(cdf_kind, n, seed, ties, misfit)
+        d = ks_statistic(x, cdf)
+        for reach in (d, np.nextafter(d, np.inf), np.nextafter(d, 0.0),
+                      anchor_max(x, cdf), u * d):
+            v = gof._ks_distance(x, cdf, reach)
+            assert v <= d
+            assert (v >= reach) == (d >= reach)
+
+    @pytest.mark.parametrize("cdf_kind", ["identity", "LN", "GIGa"])
+    def test_distance_far_below_reach_stops_after_the_anchors(self,
+                                                              cdf_kind):
+        n = 4096
+        x, cdf = _ks_case(cdf_kind, n, 5, False, 0.0)
+        seen = []
+
+        def counting_cdf(v):
+            seen.append(np.size(v))
+            return cdf(v)
+        assert gof._ks_distance(x, counting_cdf, 0.5) < 0.5
+        assert seen == [n // 16 + 1]
+
+
+def brute_force_counts(x, family, B, seed):
+    """Exceed and discard counts of ks_pvalue_bootstrap, with every
+    replicate's exact KS distance."""
+    fit = gof._FIT[family](x)
+    cdf = gof._CDF[family]
+    d_obs = ks_statistic(x, lambda v: cdf(fit.params, v))
+    exceed = discarded = 0
+    for b in range(1, B + 1):
+        synth = gof._SAMPLE[family](fit.params, x.size,
+                                    np.random.SeedSequence([int(seed), b]))
+        try:
+            params = gof._REFIT[family](synth)[1]
+        except (DegenerateSampleError, ValueError):
+            discarded += 1
+            continue
+        exceed += ks_statistic(synth, lambda v: cdf(params, v)) >= d_obs
+    return exceed, discarded
+
+
 class TestBootstrap:
+    @pytest.mark.parametrize("n", [500, 2000])
+    @pytest.mark.parametrize("family, truth", [
+        ("LN", LNParams(-0.05, 0.3)), ("IGa", GIGaParams(3.0, 2.0, 1.0)),
+        ("GIGa", GIGaParams(6.0, 20.0, 0.5))])
+    def test_counts_equal_exact_distances(self, family, truth, n):
+        x = gof._SAMPLE[family](truth, n, n + 1)
+        r = ks_pvalue_bootstrap(x, family, 39, seed=n)
+        assert (r.exceed_count, r.discarded_replicates) == \
+            brute_force_counts(x, family, 39, n)
+
+    def test_counts_equal_exact_distances_with_failed_refits(self,
+                                                             monkeypatch):
+        refit = gof._REFIT["GIGa"]
+
+        def flaky(synth):
+            if synth[0] < np.median(synth):
+                raise DegenerateSampleError("forced")
+            return refit(synth)
+        monkeypatch.setitem(gof._REFIT, "GIGa", flaky)
+        x = giga_sample(GIGaParams(6.0, 20.0, 0.5), 2000, seed=4)
+        r = ks_pvalue_bootstrap(x, "GIGa", 39, seed=8)
+        assert 0 < r.discarded_replicates < 39
+        assert (r.exceed_count, r.discarded_replicates) == \
+            brute_force_counts(x, "GIGa", 39, 8)
+
     def test_rejects_zero_replicates(self):
         x = ln_sample(LNParams(0.0, 1.0), 100, seed=0)
         with pytest.raises(ValueError):
