@@ -39,7 +39,10 @@ _DEFAULT_CONVERGENCE_DTS = [2.0 ** -k for k in range(4, 10)]
 # powers come by recursion, so the GIGa rows change; LN and IGa rows do
 # not.  5: the Taylor step sums a factored update and one Jacobian
 # product, so Taylor runs change in about the 15th digit; Milstein's do not.
-FORMAT_VERSION = 5
+# 6: the Milstein step sums w m + dt f with a per-step noise factor m, so
+# Milstein runs change in about the 15th digit; Taylor runs do not.  The
+# reproduce manifest lists each run with its label, config and outputs.
+FORMAT_VERSION = 6
 
 EVOLUTION_HEADER = ("t,family,alpha,beta,gamma,mu,s,gamma_hat,"
                     "alpha_gamma_hat,loglik,ks_stat,p_value,converged")
@@ -152,6 +155,18 @@ def _manifest(command: str, config: ExperimentConfig, outputs) -> dict:
     return {"command": command, "config": config.sections,
             "config_text": config_to_text(config),
             "format_version": FORMAT_VERSION, "outputs": sorted(outputs)}
+
+
+def _run_record(label: str, config: ExperimentConfig, outputs,
+                error: str = "") -> dict:
+    """One run of a ``reproduce`` manifest: its resolved config replays
+    its own output files; a failed run has an error and no outputs."""
+    record = {"label": label, "config_text": config_to_text(config),
+              "outputs": sorted(outputs),
+              "status": "failed" if error else "ok"}
+    if error:
+        record["error"] = error
+    return record
 
 
 def cmd_simulate(config_path, seed=None, out_dir=".") -> int:
@@ -305,21 +320,26 @@ def cmd_reproduce(figure: int, out_dir: str = ".", N: int = FIGURE_DEFAULT_N,
 
     Figures 1-2 produce per-time histogram CSVs and a goodness-of-fit
     JSON; figures 3-5 produce one evolution CSV per parameter value.
-    One realization per parameter set.
+    One realization per parameter set.  The manifest lists every run
+    with its label, resolved ``config_text`` and outputs, so each file
+    replays from it.  A run that fails numerically is listed as failed,
+    the later runs are not attempted, and the return code is 3.
     """
     plan = build_figure_plan(figure)
     fig_dir = os.path.join(out_dir, f"fig{figure}")
     os.makedirs(fig_dir, exist_ok=True)
-    outputs = []
-    last_config = None
+    runs = []
+    code = 0
     for run in plan:
         config = _figure_config(run, N, dt, bootstrap_b, seed, t_end, times)
-        last_config = config
         try:
             snapshots = simulate(config.sim)
         except PositivityError as err:
             print(f"numerical failure in {run.label}: {err}", file=sys.stderr)
-            return 3
+            runs.append(_run_record(run.label, config, [], str(err)))
+            code = 3
+            break
+        outputs = []
         records = evolution_records(config, snapshots)
         if run.mode == "histogram":
             for snap in snapshots:
@@ -336,9 +356,13 @@ def cmd_reproduce(figure: int, out_dir: str = ".", N: int = FIGURE_DEFAULT_N,
         name = f"evolution_{run.label}.csv"
         write_evolution_csv(os.path.join(fig_dir, name), records)
         outputs.append(name)
+        runs.append(_run_record(run.label, config, outputs))
     _write_json(os.path.join(fig_dir, "manifest.json"),
-                _manifest(f"reproduce-{figure}", last_config, outputs))
-    return 0
+                {"command": f"reproduce-{figure}",
+                 "format_version": FORMAT_VERSION,
+                 "outputs": sorted(o for r in runs for o in r["outputs"]),
+                 "runs": runs})
+    return code
 
 
 # -- argument parsing -------------------------------------------------------

@@ -9,8 +9,10 @@ A topology stores only what the coupling operator reads.  The complete
 graph and the ring lattice follow from (N, n) alone, and the engine
 applies them in closed form, so they store no adjacency.  The
 small-world graph stores its adjacency once, in compressed (CSR) form
-with sorted neighbor lists and scipy's index dtype, so the engine's
-sparse matrix shares these arrays instead of copying them.  A
+with scipy's index dtype, so the engine's sparse matrix shares these
+arrays instead of copying them.  Each row holds the agent's sorted
+neighbors and then one more entry, the agent itself: the engine keeps
+-degree in that slot and applies the coupling as one sparse product.  A
 realization replays from (N, p_sw, seed).
 """
 
@@ -40,9 +42,10 @@ class NetworkTopology:
     kind : one of ``complete``, ``regular_ring``, ``random_smallworld``.
     n_divisor : the n in J_ij = J/n.  For the small-world graph this is
         the *expected* degree p_sw * N, not any realized degree.
-    indptr, indices : CSR adjacency of the small-world graph;
-        ``indices[indptr[i]:indptr[i+1]]`` is the sorted neighbor list of
-        agent i.  Empty for the complete graph and the ring lattice,
+    indptr, indices : CSR rows of the small-world graph;
+        ``indices[indptr[i]:indptr[i+1] - 1]`` is the sorted neighbor
+        list of agent i, and ``indices[indptr[i+1] - 1]`` is i itself, the
+        degree slot.  Empty for the complete graph and the ring lattice,
         which store no entries.
     """
 
@@ -59,7 +62,7 @@ class NetworkTopology:
     @property
     def degrees(self) -> np.ndarray:
         """Realized degree of each agent of the small-world graph."""
-        return np.diff(self.indptr)
+        return np.diff(self.indptr) - 1
 
 
 def build_complete(N: int) -> NetworkTopology:
@@ -91,7 +94,8 @@ def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkTopology:
     A pure function of (N, p_sw, seed): identical inputs give identical
     edge sets.  The coupling divisor is the expected degree p_sw * N,
     regardless of realized degrees.  Isolated agents are permitted; they
-    evolve under pure noise downstream.
+    evolve under pure noise downstream; their rows hold only the
+    degree slot.
     """
     if N < 2:
         raise ValueError(f"small-world network needs N >= 2, got {N}")
@@ -103,23 +107,32 @@ def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkTopology:
              for i in range(N - 1)]
     n_upper = np.array([u.size for u in upper] + [0])
     n_pairs = int(n_upper.sum())
-    dtype = sp.get_index_dtype(maxval=max(N, 2 * n_pairs))
+    dtype = sp.get_index_dtype(maxval=2 * n_pairs + N)
     dst = np.concatenate(upper, dtype=dtype)
     del upper  # its int64 rows would outlive the build otherwise
-    src = np.repeat(np.arange(N, dtype=dtype), n_upper)
+    agents = np.arange(N, dtype=dtype)
+    src = np.repeat(agents, n_upper)
     n_lower = np.bincount(dst, minlength=N)
     indptr = np.zeros(N + 1, dtype=dtype)
-    np.cumsum(n_lower + n_upper, out=indptr[1:])
-    # row i lists its lower neighbors, then its upper ones.  Pair k goes
-    # to row src[k] after all lower entries up to that row, and the
-    # stable sort by dst lists row i's lower neighbors, ascending, after
-    # all upper entries before row i.
+    np.cumsum(n_lower + n_upper + 1, out=indptr[1:])
+    # row i lists its lower neighbors, then its upper ones, then i.  Pair
+    # k goes to row src[k] after all lower entries up to that row and the
+    # src[k] earlier degree slots, and the stable sort by dst lists row
+    # i's lower neighbors, ascending, after all upper entries and slots
+    # before row i.
     k = np.arange(n_pairs, dtype=dtype)
-    indices = np.empty(2 * n_pairs, dtype=dtype)
-    indices[k + np.cumsum(n_lower, dtype=dtype)[src]] = dst
+    indices = np.empty(2 * n_pairs + N, dtype=dtype)
+    pos = np.cumsum(n_lower, dtype=dtype)[src]
+    pos += k
+    pos += src
+    indices[pos] = dst
     order = np.argsort(dst, kind="stable")
-    upper_before = np.cumsum(n_upper, dtype=dtype) - n_upper
-    indices[k + upper_before[dst[order]]] = src[order]
+    lower_row = dst[order]
+    pos = (np.cumsum(n_upper, dtype=dtype) - n_upper)[lower_row]
+    pos += k
+    pos += lower_row
+    indices[pos] = src[order]
+    indices[indptr[1:] - 1] = agents
     return NetworkTopology(N=int(N), kind=RANDOM_SMALLWORLD,
                            n_divisor=float(p_sw * N),
                            indptr=indptr, indices=indices)

@@ -9,7 +9,7 @@ import pytest
 
 from bmnet import cli
 from bmnet.config import config_to_text, parse_config_text
-from bmnet.errors import ConfigError
+from bmnet.errors import ConfigError, PositivityError
 
 MINIMAL = """\
 [model]
@@ -288,6 +288,60 @@ class TestReproduceCommand:
         assert hist[0] == "bin_left,bin_right,count,density"
         counts = sum(int(line.split(",")[2]) for line in hist[1:])
         assert counts == 60
+
+    @staticmethod
+    def _tiny_figure3(out):
+        # N = 1000 makes every z * N an integer degree (100, 10 and 3)
+        return cli.cmd_reproduce(3, out_dir=str(out), N=1000, dt=0.01,
+                                 bootstrap_b=3, seed=3, t_end=0.05,
+                                 times=(0.05,))
+
+    def test_figure3_manifest_replays_every_run(self, tmp_path):
+        out = tmp_path / "rep"
+        assert self._tiny_figure3(out) == 0
+        manifest = json.loads((out / "fig3" / "manifest.json").read_text())
+        assert manifest["format_version"] == cli.FORMAT_VERSION
+        labels = ["regn_z0.1", "regn_z0.01", "regn_z0.003"]
+        assert [r["label"] for r in manifest["runs"]] == labels
+        assert manifest["outputs"] == sorted(
+            f"evolution_{label}.csv" for label in labels)
+        for run in manifest["runs"]:
+            assert run["status"] == "ok"
+            assert run["outputs"] == [f"evolution_{run['label']}.csv"]
+            replay_dir = tmp_path / run["label"]
+            cfg = write_config(tmp_path, run["config_text"],
+                               f"{run['label']}.ini")
+            assert cli.main(["evolve", "--config", cfg,
+                             "--out", str(replay_dir)]) == 0
+            assert (replay_dir / "evolution.csv").read_bytes() == \
+                (out / "fig3" / run["outputs"][0]).read_bytes()
+
+    def test_failed_run_is_recorded_in_the_manifest(self, tmp_path,
+                                                    monkeypatch, capsys):
+        calls = []
+        simulate = cli.simulate
+
+        def second_run_fails(sim):
+            calls.append(sim)
+            if len(calls) == 2:
+                raise PositivityError(agent=4, t=0.03, step=2)
+            return simulate(sim)
+        monkeypatch.setattr(cli, "simulate", second_run_fails)
+        out = tmp_path / "rep"
+        assert self._tiny_figure3(out) == 3
+        assert len(calls) == 2  # the third run is not attempted
+        assert "numerical failure in regn_z0.01" in capsys.readouterr().err
+        manifest = json.loads((out / "fig3" / "manifest.json").read_text())
+        first, second = manifest["runs"]
+        assert first["status"] == "ok"
+        assert first["outputs"] == ["evolution_regn_z0.1.csv"]
+        assert second["label"] == "regn_z0.01"
+        assert second["status"] == "failed" and second["outputs"] == []
+        assert "agent 4" in second["error"]
+        assert "N = 1000" in second["config_text"]
+        assert manifest["outputs"] == ["evolution_regn_z0.1.csv"]
+        assert sorted(os.listdir(out / "fig3")) == [
+            "evolution_regn_z0.1.csv", "manifest.json"]
 
     def test_tiny_figure5_run(self, tmp_path):
         out = tmp_path / "rep"

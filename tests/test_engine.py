@@ -49,6 +49,19 @@ class ReadOnlyMeanField(MeanFieldDynamics):
         return _read_only(super().jacobian_apply(w, v, params))
 
 
+def milstein(w, t, dyn, params, dt, db):
+    """A Milstein step driven by the increment db."""
+    m, = engine._step_coefficients("milstein", params, dt, db, None)
+    return milstein_step(w, t, dyn, params, dt, m)
+
+
+def taylor15(w, t, dyn, params, dt, db, dz):
+    """An order-1.5 Taylor step driven by the increments db and dz."""
+    return taylor15_step(w, t, dyn, params, dt,
+                         *engine._step_coefficients("taylor15", params, dt,
+                                                    db, dz))
+
+
 def network_drift(w, top):
     return NetworkDynamics(top).drift(np.asarray(w, dtype=float), BASE_PARAMS)
 
@@ -116,7 +129,8 @@ class TestInteractionDrift:
                       lambda: milstein_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
                                             np.zeros(size)),
                       lambda: taylor15_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
-                                            np.zeros(size), np.zeros(size))):
+                                            np.zeros(size), np.zeros(size),
+                                            np.zeros(size))):
             with pytest.raises(ValueError):
                 apply()
 
@@ -222,23 +236,22 @@ class TestMilsteinStep:
         w = np.array([0.5, 1.0, 2.0])
         f = np.array([0.1, -0.2, 0.0])
         dt = 0.01
-        out = milstein_step(w, 0.0, FixedDrift(f), BASE_PARAMS, dt,
-                            np.zeros(3))
+        out = milstein(w, 0.0, FixedDrift(f), BASE_PARAMS, dt, np.zeros(3))
         assert out == pytest.approx(w + f * dt - 0.05 * w * dt)
 
     def test_frozen_arithmetic(self):
         # w=1, f=0, sigma^2=0.05, dt=0.01, dB=0.1:
         # dw = sqrt(0.1)*0.1 + 0.05*(0.01 - 0.01) = 0.0316227766...
-        out = milstein_step(np.array([1.0]), 0.0, MeanFieldDynamics(),
-                            BASE_PARAMS, 0.01, np.array([0.1]))
+        out = milstein(np.array([1.0]), 0.0, MeanFieldDynamics(),
+                       BASE_PARAMS, 0.01, np.array([0.1]))
         assert out[0] - 1.0 == pytest.approx(0.0316227766016838, rel=1e-12)
 
     def test_positivity_violation_raises_with_index(self):
         # a pathologically large mean-reverting kick drives agent 1 negative
         params = ModelParams(sigma=BASE_PARAMS.sigma, J=5.0)
         with pytest.raises(PositivityError) as err:
-            milstein_step(np.array([0.1, 10.0]), 1.5, MeanFieldDynamics(),
-                          params, 0.5, np.zeros(2))
+            milstein(np.array([0.1, 10.0]), 1.5, MeanFieldDynamics(),
+                     params, 0.5, np.zeros(2))
         assert err.value.agent == 1
         assert err.value.t == 2.0
         assert err.value.finite
@@ -246,8 +259,8 @@ class TestMilsteinStep:
 
     def test_rejects_mismatched_noise(self):
         with pytest.raises(ValueError):
-            milstein_step(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
-                          0.01, np.zeros(2))
+            milstein(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
+                     0.01, np.zeros(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -259,11 +272,9 @@ def test_non_finite_state_raises(bad, scheme):
     with pytest.raises(PositivityError) as err, \
             np.errstate(invalid="ignore", over="ignore"):
         if scheme == "milstein":
-            milstein_step(w, 0.0, FixedDrift(np.zeros(4)), BASE_PARAMS, 0.01,
-                          db, dz)
+            milstein(w, 0.0, FixedDrift(np.zeros(4)), BASE_PARAMS, 0.01, db)
         else:
-            taylor15_step(w, 0.0, MeanFieldDynamics(), BASE_PARAMS, 0.01,
-                          db, dz)
+            taylor15(w, 0.0, MeanFieldDynamics(), BASE_PARAMS, 0.01, db, dz)
     assert not err.value.finite
     assert "non-finite" in str(err.value)
     # milstein leaves the other agents finite; taylor15's mean-field
@@ -274,13 +285,13 @@ def test_non_finite_state_raises(bad, scheme):
 class TestTaylor15Step:
     def test_requires_dz(self):
         with pytest.raises(ValueError):
-            taylor15_step(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
-                          0.01, np.zeros(3), None)
+            taylor15(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
+                     0.01, np.zeros(3), None)
 
     def test_rejects_mismatched_dz(self):
         with pytest.raises(ValueError):
-            taylor15_step(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
-                          0.01, np.zeros(3), np.zeros(1))
+            taylor15(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
+                     0.01, np.zeros(3), np.zeros(1))
 
     def test_noise_free_second_order_reduction(self):
         # sigma -> 0: w + f dt + (1/2) (Jacobian f) dt^2
@@ -288,7 +299,7 @@ class TestTaylor15Step:
         dyn = MeanFieldDynamics()
         w = np.array([0.5, 1.0, 2.0, 4.0])
         dt = 0.1
-        out = taylor15_step(w, 0.0, dyn, params, dt, np.zeros(4), np.zeros(4))
+        out = taylor15(w, 0.0, dyn, params, dt, np.zeros(4), np.zeros(4))
         f = dyn.drift(w, params)
         expected = w + f * dt + 0.5 * dyn.jacobian_apply(w, f, params) * dt * dt
         assert out == pytest.approx(expected, rel=1e-12)
@@ -303,8 +314,8 @@ class TestTaylor15Step:
             for seed in range(120):
                 w = rng.gamma(3.0, 0.4, 50) + 0.05
                 db, dz = step_noise(seed, 0, 50, dt, with_dz=True)
-                a = milstein_step(w, 0.0, dyn, BASE_PARAMS, dt, db, dz)
-                b = taylor15_step(w, 0.0, dyn, BASE_PARAMS, dt, db, dz)
+                a = milstein(w, 0.0, dyn, BASE_PARAMS, dt, db)
+                b = taylor15(w, 0.0, dyn, BASE_PARAMS, dt, db, dz)
                 diffs.append(np.max(np.abs(a - b)))
             mean_diff[dt] = np.mean(diffs)
         r1 = mean_diff[0.02] / mean_diff[0.01]
@@ -333,6 +344,46 @@ class TestTaylor15Step:
         assert np.allclose(dyn.jacobian_apply(w, v, BASE_PARAMS), fd, atol=1e-6)
 
 
+class TestDegreeSlot:
+    """The small-world operator applies L = A - D through the degree slot
+    of each CSR row."""
+
+    @staticmethod
+    def _neighbor_matrix(top):
+        """A as a CSR matrix of the neighbor lists alone, without slots."""
+        slots = top.indptr[1:] - 1
+        return sp.csr_matrix(
+            (np.ones(top.indices.size - top.N), np.delete(top.indices, slots),
+             top.indptr - np.arange(top.N + 1)), shape=(top.N, top.N))
+
+    @given(st.integers(2, 120), st.one_of(st.just(0.0), st.floats(0.01, 0.3)),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_product_equals_neighbor_sum_minus_degree(self, N, p, seed):
+        top = build_random_smallworld(N, p, seed)
+        A = self._neighbor_matrix(top)
+        deg = top.degrees.astype(float)
+        dyn = NetworkDynamics(top)
+        v = np.random.default_rng(seed).normal(size=N)
+        assert np.array_equal(dyn._laplacian @ v, A @ v - deg * v)
+        if top.n_divisor > 0:
+            scale = BASE_PARAMS.J / top.n_divisor
+            assert np.array_equal(dyn.drift(v, BASE_PARAMS),
+                                  scale * (A @ v - deg * v))
+
+    def test_isolated_agents(self):
+        top = build_random_smallworld(30, 0.05, seed=1)
+        isolated = top.degrees == 0
+        assert isolated.any() and not isolated.all()
+        A = self._neighbor_matrix(top)
+        v = np.random.default_rng(3).gamma(2.0, 1.0, 30)
+        out = NetworkDynamics(top)._laplacian @ v
+        expected = A @ v - top.degrees * v
+        assert out.tobytes() == expected.tobytes()
+        assert np.all(out[isolated] == 0.0)
+        assert not np.signbit(out[isolated]).any()
+
+
 def _dense_adjacency(top):
     """The adjacency matrix of a topology, entry by entry."""
     N = top.N
@@ -346,6 +397,7 @@ def _dense_adjacency(top):
     else:
         rows = np.repeat(np.arange(N), np.diff(top.indptr))
         A[rows, top.indices] = 1.0
+        np.fill_diagonal(A, 0.0)  # the degree slot of each row
     return A
 
 
@@ -395,7 +447,7 @@ def test_taylor15_step_matches_written_out_scheme(case):
                 + c * (jac @ (w * dz)) + 0.5 * dt * dt * l0
                 + c * f * (db * dt - dz)
                 + c * s2 * w * (db * db / 3.0 - dt) * db)
-    out = taylor15_step(w, 0.0, dyn, params, dt, db, dz)
+    out = taylor15(w, 0.0, dyn, params, dt, db, dz)
     assert np.all(np.abs(out - expected) <= 1e-13 * np.abs(expected))
     curv = dyn.l0_drift(w, dyn.drift(w, params), params)
     assert (curv is None) == (fpp is None)
@@ -463,6 +515,75 @@ class TestNoiseStreams:
             db_o, _ = step_noise(seed, step, n, 0.01, with_dz=not with_dz,
                                  gen=gen)
             assert np.array_equal(db_o, db)
+
+
+class TestNoiseBlocks:
+    """The loop draws the noise of several steps at once; no output may
+    depend on how many."""
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 40),
+           st.integers(1, 9), st.integers(1, 40), st.booleans(),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_block_rows_equal_single_steps(self, seed, step, steps, n,
+                                           with_dz, reuse):
+        gen = engine.NoiseGenerator(seed) if reuse else None
+        db, dz = step_noise(seed, step, n, 0.01, with_dz=with_dz, gen=gen,
+                            steps=steps)
+        assert db.shape == (steps, n)
+        assert (dz is None) == (not with_dz)
+        for j in range(steps):
+            db_j, dz_j = step_noise(seed, step + j, n, 0.01, with_dz=with_dz)
+            assert np.array_equal(db[j], db_j)
+            if with_dz:
+                assert dz.shape == (steps, n)
+                assert np.array_equal(dz[j], dz_j)
+
+    DEFAULT_BLOCK_DRAWS = engine._BLOCK_DRAWS
+
+    def _with_block(self, monkeypatch, cfg, block):
+        """Set the module constant so that cfg's run takes ``block`` steps
+        per noise block (None: the default)."""
+        draws = cfg.N * (1 if cfg.scheme == "milstein" else 2)
+        monkeypatch.setattr(engine, "_BLOCK_DRAWS", self.DEFAULT_BLOCK_DRAWS
+                            if block is None else block * draws)
+
+    @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
+    @pytest.mark.parametrize("dynamics", ["smallworld", "eft"])
+    def test_snapshots_do_not_depend_on_block_size(self, monkeypatch, scheme,
+                                                   dynamics):
+        # 50 steps: blocks of 7 end after steps 7, 14, ..., 49 and 50, so
+        # the snapshots lie at block ends (0.07, 0.49, 0.5) and inside
+        # blocks (0.03, 0.1); the default takes all 50 steps in one block
+        dyn = (NetworkDynamics(build_random_smallworld(100, 0.05, seed=2))
+               if dynamics == "smallworld" else EFTDynamics(0.5))
+        cfg = _mf_config(scheme=scheme, dynamics=dyn, t_end=0.5,
+                         snapshot_times=(0.0, 0.03, 0.07, 0.1, 0.49, 0.5))
+        runs = []
+        for block in (1, None, 7):
+            self._with_block(monkeypatch, cfg, block)
+            runs.append([(s.t, s.w.tobytes()) for s in simulate(cfg)])
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0]) == 6
+
+    @pytest.mark.parametrize("scheme, J, seed, step", [
+        ("milstein", 9.0, 8, 15), ("taylor15", 10.0, 1, 12)])
+    def test_positivity_error_mid_block_matches_single_steps(
+            self, monkeypatch, scheme, J, seed, step):
+        cfg = _mf_config(scheme=scheme, params=ModelParams.from_sigma2(0.05, J),
+                         N=40, dt=0.2, t_end=20.0, init="gaussian",
+                         init_sd=0.4, seed=seed,
+                         snapshot_times=(0.0, 0.2, 0.4, 1.0, 2.0))
+        seen = []
+        for block in (1, None, 7):  # a block of 7 holds the failing step
+            self._with_block(monkeypatch, cfg, block)
+            with pytest.raises(PositivityError) as err:
+                simulate(cfg)
+            seen.append((err.value.step, err.value.t, err.value.agent,
+                         [(s.t, s.w.tobytes()) for s in err.value.snapshots]))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][0] == step and step % 7
+        assert len(seen[0][3]) == 5
 
 
 def _mf_config(**kw):
@@ -552,8 +673,8 @@ class TestSimulate:
 
 
 class TestNoAliasing:
-    """The steps read w, dB, dZ and what the dynamics return, and write
-    only into arrays of their own."""
+    """The steps read w, their noise coefficients and what the dynamics
+    return, and write only into arrays of their own."""
 
     @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
     @pytest.mark.parametrize("shared_drift", [False, True])
@@ -561,6 +682,8 @@ class TestNoAliasing:
         w = _read_only(np.linspace(0.5, 2.0, 6))
         db, dz = (_read_only(a) for a in step_noise(3, 0, 6, 0.01,
                                                     with_dz=True))
+        coefficients = [_read_only(a) for a in engine._step_coefficients(
+            scheme, BASE_PARAMS, 0.01, db, dz)]
         f = _read_only(np.linspace(-0.1, 0.1, 6))
         if shared_drift:
             dyn = FixedDrift(f)
@@ -569,13 +692,13 @@ class TestNoAliasing:
         else:
             dyn = ReadOnlyMeanField()
         step = milstein_step if scheme == "milstein" else taylor15_step
-        out = step(w, 0.0, dyn, BASE_PARAMS, 0.01, db, dz)
+        out = step(w, 0.0, dyn, BASE_PARAMS, 0.01, *coefficients)
         assert out.flags.writeable
-        for a in (w, db, dz, f):
+        for a in (w, db, dz, f, *coefficients):
             assert not np.shares_memory(out, a)
         assert np.array_equal(f, np.linspace(-0.1, 0.1, 6))
         assert np.array_equal(w, np.linspace(0.5, 2.0, 6))
-        again = step(w, 0.0, dyn, BASE_PARAMS, 0.01, db, dz)
+        again = step(w, 0.0, dyn, BASE_PARAMS, 0.01, *coefficients)
         assert again is not out and np.array_equal(again, out)
 
     @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
@@ -643,9 +766,10 @@ class TestConvergenceStudy:
 
 
 class TestStepSeams:
-    """Every step goes through the module globals ``step_noise``,
-    ``milstein_step`` and ``taylor15_step``, which the benchmark's tracer
-    replaces with timed wrappers."""
+    """Every block of steps draws its noise through the module global
+    ``step_noise``, and every step goes through ``milstein_step`` or
+    ``taylor15_step``; the benchmark's tracer replaces all three with
+    timed wrappers."""
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -654,7 +778,7 @@ class TestStepSeams:
             log = calls[name] = []
 
             def counted(*args, _fn=getattr(engine, name), _log=log, **kw):
-                _log.append(args)
+                _log.append((args, kw))
                 return _fn(*args, **kw)
             monkeypatch.setattr(engine, name, counted)
         return calls
@@ -662,12 +786,16 @@ class TestStepSeams:
     @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
     def test_simulate_calls_each_seam_once_per_step(self, monkeypatch,
                                                     scheme):
+        # the noise seam is called once per block of 7 steps here
         calls = self._count_calls(monkeypatch)
+        draws = 100 if scheme == "milstein" else 200
+        monkeypatch.setattr(engine, "_BLOCK_DRAWS", 7 * draws + 6)
         cfg = _mf_config(scheme=scheme, t_end=0.5, snapshot_times=(0.5,))
         simulate(cfg)
         other = "taylor15_step" if scheme == "milstein" else "milstein_step"
-        assert len(calls["step_noise"]) == cfg.n_steps == 50
-        assert [a[1] for a in calls["step_noise"]] == list(range(50))
+        blocks = [(a[1], kw["steps"]) for a, kw in calls["step_noise"]]
+        assert blocks == [(k, 7) for k in range(0, 49, 7)] + [(49, 1)]
+        assert cfg.n_steps == 50
         assert len(calls[f"{scheme}_step"]) == cfg.n_steps
         assert calls[other] == []
 
@@ -696,6 +824,6 @@ class TestStepSeams:
         strong_convergence_study(scheme, dts, 20, seed=1)
         other = "taylor15_step" if scheme == "milstein" else "milstein_step"
         # positional arguments: (w, t, dynamics, params, dt, dB, dZ)
-        per_dt = Counter(args[4] for args in calls[f"{scheme}_step"])
+        per_dt = Counter(args[4] for args, _ in calls[f"{scheme}_step"])
         assert per_dt == {d: round(1.0 / d) for d in dts}
         assert calls["step_noise"] == [] and calls[other] == []

@@ -135,6 +135,29 @@ class TestBlockBoundedKs:
             else:  # the anchor pass: every 16th value and the largest
                 assert seen[0] == -(-n // 16) + 1 and len(seen) <= 2
 
+    def test_maximum_inside_a_block_just_above_the_anchors(self):
+        # n = 2048 values (i + 0.5)/n of the identity CDF, with two runs of
+        # ties.  The run ending at anchor 512 gives the anchor maximum
+        # d = 15.25/n.  The run from anchor 1024 to 1039 puts the maximum,
+        # 15.75/n, inside the block (1024, 1040), whose bound 16.75/n
+        # exceeds d by less than 1e-3: a block threshold of d + 1e-3
+        # would skip it and return d.
+        n = 2048
+        x = (np.arange(n) + 0.5) / n
+        x[497:513] = (512 - 14.25) / n
+        x[1024:1040] = (1024 + 0.25) / n
+        dev = np.maximum(np.arange(1, n + 1) / n - x, x - np.arange(n) / n)
+        top = int(np.argmax(dev))
+        anchors = np.append(np.arange(0, n, gof._KS_BLOCK), n - 1)
+        d = dev[anchors].max()
+        a = top - top % gof._KS_BLOCK
+        b = a + gof._KS_BLOCK
+        bound = max((b + 1) / n - x[a], x[b] - a / n)
+        assert top % gof._KS_BLOCK and dev[top] > d
+        assert 0 < bound - d < 1e-3
+        assert ks_statistic(x, uniform_cdf) == full_ks(x, uniform_cdf) \
+            == dev[top]
+
     def test_well_fitted_giga_evaluates_a_fraction(self):
         n = 10 ** 4
         x = giga_sample(GIGaParams(6.0, 20.0, 0.5), n, seed=21)

@@ -31,6 +31,16 @@ files, ``convergence_taylor15.json`` (it steps the scheme at J = 0) and
 every ``manifest.json`` were recorded again.  Every Milstein snapshot
 and ``evolution.csv``, and ``convergence_milstein.json``, kept its hash.
 
+At format version 6 the Milstein step became w m + dt f, with the noise
+factor m = (1 - sigma^2 dt) + dB (c + sigma^2 dB) computed per block of
+steps, which moved every Milstein output in about the 15th digit.  The
+Milstein ``snapshot_t1.0.csv``, ``snapshot_t5.0.csv`` and
+``evolution.csv`` files, ``convergence_milstein.json`` and every
+``manifest.json`` were recorded again.  Every Taylor snapshot and
+``evolution.csv``, and ``convergence_taylor15.json``, kept its hash,
+the small-world ones too: the small-world coupling became one product
+with a degree slot in each adjacency row, which sums in the same order.
+
 To print the current hashes in the format of ``GOLDEN_TEXT``, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -80,73 +90,73 @@ CASES["smallworld-milstein-gaussian"] = ("smallworld", "milstein",
 
 # sha256sum-style lines: <hash>  <case>/<command>/<file>
 GOLDEN_TEXT = """\
-51d43561234f6503fd69c9463c873066916ebd848415f2965da0aa4953f16d1d  complete-milstein/simulate/manifest.json
+101cf2cbcf9a00f93c0b24c250ee6e8432ea197523551beb90800cdac7d84e0b  complete-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  complete-milstein/simulate/snapshot_t0.0.csv
-facde6a173132654846263c43ee4ef50b5b0524dad920bcc57833b73728fe071  complete-milstein/simulate/snapshot_t1.0.csv
-f4f0cf2356b78887938252ebcee26e6a358d2658ee4dacc5c2eee0774d662c81  complete-milstein/simulate/snapshot_t5.0.csv
-0326139e7ceadae7ea0fd5ed77d4f48c16249d6429923c6edcf1d9ffe52adbb8  complete-milstein/evolve/evolution.csv
-f34b995f0015360452fd0aeee52514a5a87abbbfde90f70b8576980a0bf477c0  complete-milstein/evolve/manifest.json
-b0dfd1375f9feb8a082023e6023fbcb2b2402b757224ead0361602f2713340b0  complete-taylor15/simulate/manifest.json
+b101b607f2d79da66e88e1228f4954175f06f8193691df901e71beadaa6ebf6d  complete-milstein/simulate/snapshot_t1.0.csv
+88f7f06dbd0059dcc541f8f2fcf89b1c329dfe48127a4f670461fd18bbda619a  complete-milstein/simulate/snapshot_t5.0.csv
+4f8d284bffebc15bdab5cf948f6966aac03919ca0f4fcc99a5600eea737aac37  complete-milstein/evolve/evolution.csv
+82fc2f7c859b54ca80371b71f8a1201f6a4dd33b6a18dad4cdaddaffcf1abbb5  complete-milstein/evolve/manifest.json
+c4d3d37b45d8eb01effe7214cfab1cf0cd741f322025130eb898d31ab32ea201  complete-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  complete-taylor15/simulate/snapshot_t0.0.csv
 f0577fc8d69ee32f8b66643649f28c6eb1f42f4d1ad9c05be0bfbd238c8a75f9  complete-taylor15/simulate/snapshot_t1.0.csv
 7293e161f2bb8e2dc38e4eece6a0a52a15341575fd46287e98f8129bfe64b6e4  complete-taylor15/simulate/snapshot_t5.0.csv
 afad93b1d3ee9e42fa839b82513b871d7a030f067093239c2d9aac0bec895423  complete-taylor15/evolve/evolution.csv
-335dac6c27c3a5bef19059a0dcbb597548cfe8cc7add89eee18a46689f02e35f  complete-taylor15/evolve/manifest.json
-411db17aa2b754447157913dea68ece6892abdf206d66efb72858c29dcf74472  ring-milstein/simulate/manifest.json
+e72d276fa2eba41056ea0c7c3297e186209b6c4f02e6510bffb05d084d3af5b2  complete-taylor15/evolve/manifest.json
+39b9e1c622ab33d75567a67df9ad6f968513165d3fdfe1212fd5ad7fd82d45af  ring-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  ring-milstein/simulate/snapshot_t0.0.csv
-8676319fc85bff46980f046f9fd9a3546fe7cf1d0d7fec1cdfad144135942b4e  ring-milstein/simulate/snapshot_t1.0.csv
-36ba9a21c20a5456cfb327cbe2b002cfd387c3f1248a23df068fcc7d75782b85  ring-milstein/simulate/snapshot_t5.0.csv
-6eb3a038f72e7d858ec9d54ed8df8af6d34f3d3b9f29f5468689865074141c55  ring-milstein/evolve/evolution.csv
-f9604a2f487d519dd3e1d9de51f953a3e68e92ec322b1a1549acdd779ca05c7c  ring-milstein/evolve/manifest.json
-7984f8c9b03ccd4b11a922d8e545afc4f4fa4d36755c4989b9b9922756d796c4  ring-taylor15/simulate/manifest.json
+d0bc47c6c8f3e51d1ed6854428baa5c777deabaab12ec24e9196d527c105f54b  ring-milstein/simulate/snapshot_t1.0.csv
+236f6bda7843e0b410758f0630a7b858789eefb6b0cc9dc8c4b1f2cc0f0d82a7  ring-milstein/simulate/snapshot_t5.0.csv
+997c11e9a07fdcc24a734cc8d582000d424c81bc44ddb8387ba9e947a28eca33  ring-milstein/evolve/evolution.csv
+f0aa3a8500a7cb52ca6cf34b0a7109fb5feea4f6b73ebca7c6eb05c73088aa44  ring-milstein/evolve/manifest.json
+662ad160720ce7cab0fd1160f7ee18519fe13e34f630a13ea26bfb5369aa079b  ring-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  ring-taylor15/simulate/snapshot_t0.0.csv
 5143e0f6aab99c540f47689f514eeb2c98317d2b58f92d3903f118a8709217dc  ring-taylor15/simulate/snapshot_t1.0.csv
 06cd5f17e6dcad680f411fba9b17465b4c929228ae61b1f2d1442806d4bbd7ee  ring-taylor15/simulate/snapshot_t5.0.csv
 c8429bedd4ea74ad65e46a21e0ca4766faa07865895c6155eb88c47814aa6aec  ring-taylor15/evolve/evolution.csv
-a07170360c5eb0a42d4c2c71d71366aefc9e684d81c2c85ce9cd42b575f9f5ea  ring-taylor15/evolve/manifest.json
-28986b324e702eef39c906b51201710ea6992aae6c621619c27488e09ed14e6f  smallworld-milstein/simulate/manifest.json
+cce652078616e39842692f726c48d4f1308a98def53a18c7d3d1cfb9e3b499d1  ring-taylor15/evolve/manifest.json
+a0f92645e979b7b32c4f65344eb9ca877cc48e09e9ee31e159cae6bb713ac2ef  smallworld-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  smallworld-milstein/simulate/snapshot_t0.0.csv
-2f656a5ad6f58b61822172d4b7e92812d76035f90cb10f5c0101f227cd5fd141  smallworld-milstein/simulate/snapshot_t1.0.csv
-b1cedb353cb459367c57ae80f4d67d82171f854065617ca1ca3dfa5c29b4c969  smallworld-milstein/simulate/snapshot_t5.0.csv
-e4bd98ee5273926c37312638d792f031825fccccaf9d43cb7e03969d2cc094d3  smallworld-milstein/evolve/evolution.csv
-fd04dd29102d186da3ffdd2630d36346eb990ee3a881d88f0e0d3fd75954b572  smallworld-milstein/evolve/manifest.json
-b8271b64c36e8e7750c14e9efd7c8fd787be64e3ddd5800cbefe1f580e04f2cd  smallworld-taylor15/simulate/manifest.json
+7c6b2323484dea0148837b0b514ff0753e9f7a2b89b8695747df9be9548e8f5b  smallworld-milstein/simulate/snapshot_t1.0.csv
+5659c80596ff4fd20e045e86ac8071430fa29c609f1acd4bc502ab85c3686126  smallworld-milstein/simulate/snapshot_t5.0.csv
+6bec17a094eddbb53ba3f4c76c8a1e7b7f9660ac5957983965fe42cd67cb340b  smallworld-milstein/evolve/evolution.csv
+b101148b28a00fb7c897f77814723376b0c4fa989486f34e1597e94ad7c353ed  smallworld-milstein/evolve/manifest.json
+38b4986b7af446aa351a77562a14764fb4d6a53b005569762ec712b71333bcb1  smallworld-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  smallworld-taylor15/simulate/snapshot_t0.0.csv
 558df7db415831ce109586d1111354549dc6cb2031293e1965e48b96d806e2ed  smallworld-taylor15/simulate/snapshot_t1.0.csv
 39015799745512fd4988a686721f88b4fe89f96b91448444462ab08c6d8aab3d  smallworld-taylor15/simulate/snapshot_t5.0.csv
 0d45ac20302a329dcb2d777135791878f2dce30e54c9ac60652dae714806d9fd  smallworld-taylor15/evolve/evolution.csv
-6c34d3d322476e4469293d2c1dded4ff8135b681c98999edef3a6e6d1f6c6f45  smallworld-taylor15/evolve/manifest.json
-837456324cbeb837ef12c9a8f94198a1981fe9626db492b74183b907ada57b34  meanfield-milstein/simulate/manifest.json
+f8d2e9a702ed2fb5ee8208f237b6a0599c85c963b5b255aa6e703a5677f93905  smallworld-taylor15/evolve/manifest.json
+8fcdf787ea14eb319386a4b493c90727418d63c8a4479524ba5bdba7e34bf13f  meanfield-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  meanfield-milstein/simulate/snapshot_t0.0.csv
-02c7c37c1a7f42abdf6b37ec5ab01da4220885c975aa274043ae11639e0f99d2  meanfield-milstein/simulate/snapshot_t1.0.csv
-84ab2705eb8fe2b26c116c4656ad6e68a65904211fef417181aa6d8f5b9ac225  meanfield-milstein/simulate/snapshot_t5.0.csv
-b64b5a98b2ab740e4d6eb7e5bbebf84dc095dcfa8d7353e58e1c6ecc0305be0c  meanfield-milstein/evolve/evolution.csv
-feef4cae4bbc577db713ccaa596ff4a46563994403804600e9dd5188f9e7f84a  meanfield-milstein/evolve/manifest.json
-dec370faee6026a15ae3ed5f5b4b79b80804076f2408e7e3f08d444657eec18e  meanfield-taylor15/simulate/manifest.json
+69534f7b6017fd7a430c0ecafb6dcccd6cac647cc4fd18b9aee538b043a985ed  meanfield-milstein/simulate/snapshot_t1.0.csv
+0c806059ed86ac0bb4ca8230055fc451d03f050d9caed7f02fe7d41e221d19c7  meanfield-milstein/simulate/snapshot_t5.0.csv
+55c9d73e3b1dcfdbf903199022e57a675bb06014f2d17ae9be0b23a18b620adb  meanfield-milstein/evolve/evolution.csv
+a893ea933d8b6a5f2447e273db80c99849a650830dc853ea9101e10dbb5a9203  meanfield-milstein/evolve/manifest.json
+1e61c08189081b35d567757abb295fab7fa32ad374994b7841468057d2e0852d  meanfield-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  meanfield-taylor15/simulate/snapshot_t0.0.csv
 ad195a7e0f68cbeba3f1e04480cc19afe7c8d144f880b223ec1b9ebce52d46ee  meanfield-taylor15/simulate/snapshot_t1.0.csv
 a15ea335c507944ba248f6967ced79d99a0d60fcfa01972d95d4956c555c6351  meanfield-taylor15/simulate/snapshot_t5.0.csv
 a0a88d059673d92b4ccf6a3979b79b81068850fb16a04f3e4c259aad8a7f4619  meanfield-taylor15/evolve/evolution.csv
-86a31b5c038332800b31d70e783cbf1b8f709bf0e4309ed973007d152f9f035d  meanfield-taylor15/evolve/manifest.json
-344a5c71070523a6030f8d37229a7ab1fcdcc1e1482e82dd23c48dc606f5aaea  eft-milstein/simulate/manifest.json
+989a5c530f69f7ea19bf15c98aef7a9e5d01093dd996af36ef9d5fbc6d560ac3  meanfield-taylor15/evolve/manifest.json
+ae8adc203eae4dba389cba0fea8a5cc088d1b4c24112f112770db1b40f5d9943  eft-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  eft-milstein/simulate/snapshot_t0.0.csv
-80c95ae5f3c9bbb156ada48828cc3e1b28f173dd9add5e9587816346b90f5e92  eft-milstein/simulate/snapshot_t1.0.csv
-7299be1c0f7498318ac2a0fc24ad29de10c13792cf5cfbd383bd13e99d28d53c  eft-milstein/simulate/snapshot_t5.0.csv
-537da80e72fe2323d75f8928f52bc5b58e68bd6b568c5cf460c1d450fd79fd20  eft-milstein/evolve/evolution.csv
-9f5aa9400ef62ba0884535fbe4b994abebf1e64e19eb0d7c2b877a9940a9c5f4  eft-milstein/evolve/manifest.json
-dedf7d3fe167c164407a6d7c6ec9ab3d9b8d40bca8a4d2ef4cd975d7788ac3ff  eft-taylor15/simulate/manifest.json
+92d5ba3421d8a1bc4f71d1dbd20a1c3dc1dfe9619f367d3d995c04c84d5f7e51  eft-milstein/simulate/snapshot_t1.0.csv
+51dcfef8be8aeb100b3fda09ad031753ce48700b879bbef80504310f2005cfc0  eft-milstein/simulate/snapshot_t5.0.csv
+e6a0dc00b99f7583088f14b562e2f4a0fede8f75cd3f71e14109adc6b0cb3d20  eft-milstein/evolve/evolution.csv
+7a4345497b3c03ce665a16928cb2ce24be4ba616ef44f557f4cd2f7fd51484a5  eft-milstein/evolve/manifest.json
+b051e6103a7093b17a21285f55bd85998ed79ca0c89b5e3fa47cb0f22757a5bc  eft-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  eft-taylor15/simulate/snapshot_t0.0.csv
 026ccbb3b2d945d0b42d77294a6be3fa6460d3c45e4a4d818f39b1d03bcb57ec  eft-taylor15/simulate/snapshot_t1.0.csv
 7d5e316cefd3328cd25229593cc50e28cf9586de8b06b39bff267c3fa756ed37  eft-taylor15/simulate/snapshot_t5.0.csv
 1f2bf7880e1b408d6e3040b58d24a3d13f86da91726245e3cb9d2fb8c01ef1f0  eft-taylor15/evolve/evolution.csv
-bb5721678eb488649e5547e2edb9ffb76e9adf7bdf85021ff25caa51b138f261  eft-taylor15/evolve/manifest.json
-db199877c21fb84304bf9e7713c0adb6fde71fe1af323cc371e8bb59dc12f0ff  smallworld-milstein-gaussian/simulate/manifest.json
+e69ec25410edc9ff7bc70829d10d634a26087340a17a43bebd6bf9760b7b8854  eft-taylor15/evolve/manifest.json
+f8ae2d3773b506e1c2e12d00778ad9d0b0eb81a5ed8d9fd595269f738a394bfc  smallworld-milstein-gaussian/simulate/manifest.json
 cb7558f6c3984ee22b506f20fca40c24282ef197485c7446a0eea1cfa71a9a80  smallworld-milstein-gaussian/simulate/snapshot_t0.0.csv
-20cb7e273b48ca64ec1014bc46b4cdc38f07a0e86a47308579f437116290d9f2  smallworld-milstein-gaussian/simulate/snapshot_t1.0.csv
-06663701ac60045343e08f9b24d76281203d91b3c1ec2cdee5819fe473aac1a0  smallworld-milstein-gaussian/simulate/snapshot_t5.0.csv
-a3a5bf0a37719b9b82ee2c2cadf995caa76c9569197b59873c71645cb6735a32  smallworld-milstein-gaussian/evolve/evolution.csv
-e257a5874f168fa3a8f49b04715476136cb3340a24b106d8f4354cdedcb5c0a5  smallworld-milstein-gaussian/evolve/manifest.json
-bf97e220c5e62c506f18fe6b08dd7a7f44646d1636fc45e75ae409e48eb8f6d7  convergence-milstein/convergence/convergence_milstein.json
+3170fbab7cef747eb59507b72dc1eec6f5999591e7f234253d8c9328b5e15660  smallworld-milstein-gaussian/simulate/snapshot_t1.0.csv
+bc68a59476102e80d37b03efd1b0a2026cb6df60c0dd613034464294b74b2283  smallworld-milstein-gaussian/simulate/snapshot_t5.0.csv
+ed187ea83c6dc8846844ebb598f40abddd05669a38ab6e697a55e818f9a0fc88  smallworld-milstein-gaussian/evolve/evolution.csv
+69234d201dda23e9e3813a95928e5d521c281ec259464bcdc3fb1135c462ccd5  smallworld-milstein-gaussian/evolve/manifest.json
+ede9ec5c705ebd763ba764c913703216dded4448ecffb8dba28971c4b19d7ed1  convergence-milstein/convergence/convergence_milstein.json
 09092dc80be30673ec52ec737423dafc749b2cef07220a6ef2408d2f037e97be  convergence-taylor15/convergence/convergence_taylor15.json
 """
 

@@ -44,17 +44,20 @@ def neighbors(top, i):
 
 
 def assert_valid_adjacency(top):
-    """Symmetric coupling; a stored CSR is the applied graph, with sorted
-    neighbor lists and no self-loops."""
+    """Symmetric coupling; a stored CSR is the applied graph, each row
+    its sorted neighbor list, with no self-loop, and then the degree slot."""
     adj = applied_adjacency(top)
     assert np.array_equal(adj, adj.T), "asymmetric coupling"
     if top.indices.size:
+        data = np.ones(top.indices.size)
         for i in range(top.N):
             row = top.indices[top.indptr[i]:top.indptr[i + 1]]
-            assert i not in row, f"self-loop at {i}"
-            assert np.all(np.diff(row) > 0), "neighbor list not sorted"
-        stored = sp.csr_matrix((np.ones(top.indices.size), top.indices,
-                                top.indptr), shape=(top.N, top.N))
+            assert row[-1] == i, f"no degree slot at {i}"
+            assert i not in row[:-1], f"self-loop at {i}"
+            assert np.all(np.diff(row[:-1]) > 0), "neighbor list not sorted"
+            data[top.indptr[i + 1] - 1] = 0.0
+        stored = sp.csr_matrix((data, top.indices, top.indptr),
+                               shape=(top.N, top.N))
         assert np.array_equal(stored.toarray(), adj)
 
 
@@ -157,7 +160,7 @@ class TestRegularRing:
 class TestRandomSmallWorld:
     def test_zero_probability(self):
         top = build_random_smallworld(50, 0.0, seed=1)
-        assert top.indices.size == 0
+        assert top.indices.tolist() == list(range(50))  # the degree slots
         assert np.all(top.degrees == 0)
 
     def test_certain_connection_equals_complete(self):
@@ -176,7 +179,7 @@ class TestRandomSmallWorld:
         # mean over seeds within 3 standard errors of the binomial mean
         N, p, n_seeds = 1000, 0.003, 40
         pairs = N * (N - 1) // 2
-        counts = [build_random_smallworld(N, p, seed=s).indices.size // 2
+        counts = [build_random_smallworld(N, p, seed=s).degrees.sum() // 2
                   for s in range(n_seeds)]
         expected = pairs * p
         se = np.sqrt(pairs * p * (1 - p) / n_seeds)
@@ -203,15 +206,18 @@ class TestRandomSmallWorld:
            st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40)
     def test_csr_is_the_drawn_graph(self, N, p, seed):
-        # pair (i, j > i) is linked by the (j - i - 1)-th of row i's draws
+        # pair (i, j > i) is linked by the (j - i - 1)-th of row i's draws;
+        # each row ends with its degree slot, the agent itself
         rng = np.random.default_rng(seed)
         adj = np.zeros((N, N), dtype=bool)
         for i in range(N - 1):
             adj[i, i + 1:] = rng.random(N - 1 - i) < p
         adj |= adj.T
         top = build_random_smallworld(N, p, seed)
-        assert top.indptr.tolist() == [0] + np.cumsum(adj.sum(axis=1)).tolist()
-        assert top.indices.tolist() == np.nonzero(adj)[1].tolist()
+        assert top.indptr.tolist() == \
+            [0] + np.cumsum(adj.sum(axis=1) + 1).tolist()
+        assert top.indices.tolist() == [
+            j for i in range(N) for j in [*np.flatnonzero(adj[i]), i]]
 
     def test_isolated_agents_kept(self):
         top = build_random_smallworld(200, 0.005, seed=3)
