@@ -5,8 +5,8 @@ from .distributions import (GIGaParams, LNParams, giga_cdf, giga_logpdf,
                             giga_sample, ln_cdf, ln_logpdf, ln_sample,
                             stationary_giga, theta_of_gamma)
 from .engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
-                     NetworkDynamics, SimConfig, milstein_step, simulate,
-                     step_noise, strong_convergence_study, taylor15_step)
+                     NetworkDynamics, SimConfig, simulate,
+                     strong_convergence_study)
 from .errors import ConfigError, DegenerateSampleError, PositivityError
 from .fitting import FitReport, fit_giga, fit_iga, fit_lognormal
 from .gof import GofReport, compare_families, ks_pvalue_bootstrap, ks_statistic
@@ -17,8 +17,7 @@ __all__ = [
     "GIGaParams", "LNParams", "giga_cdf", "giga_logpdf", "giga_sample",
     "ln_cdf", "ln_logpdf", "ln_sample", "stationary_giga", "theta_of_gamma",
     "EFTDynamics", "MeanFieldDynamics", "ModelParams", "NetworkDynamics",
-    "SimConfig", "milstein_step", "simulate", "step_noise",
-    "strong_convergence_study", "taylor15_step",
+    "SimConfig", "simulate", "strong_convergence_study",
     "ConfigError", "DegenerateSampleError", "PositivityError",
     "FitReport", "fit_giga", "fit_iga", "fit_lognormal",
     "GofReport", "compare_families", "ks_pvalue_bootstrap", "ks_statistic",

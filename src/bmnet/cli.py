@@ -28,6 +28,7 @@ from .gof import DEFAULT_BOOTSTRAP_B, GofReport, ks_pvalue_bootstrap
 _DEFAULT_SIGMA2 = 0.05
 _DEFAULT_J = 0.1
 _DEFAULT_CONVERGENCE_DTS = [2.0 ** -k for k in range(4, 10)]
+_HISTOGRAM_BINS = 50
 
 # Raised whenever a change alters a random stream or a float summation
 # order, and so the output bytes for an unchanged config.  2: the ring
@@ -133,15 +134,16 @@ def write_evolution_csv(path, records) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_histogram_csv(path, samples, n_bins: int = 50) -> None:
-    """Log-spaced histogram with the bin edges recorded in the file."""
+def write_histogram_csv(path, samples) -> None:
+    """Log-spaced histogram of 50 bins with the bin edges recorded in the
+    file."""
     x = np.asarray(samples, dtype=float)
     lo, hi = x.min() * 0.999, x.max() * 1.001
-    edges = np.geomspace(lo, hi, n_bins + 1)
+    edges = np.geomspace(lo, hi, _HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(x, bins=edges)
     density = counts / (x.size * np.diff(edges))
     lines = ["bin_left,bin_right,count,density"]
-    for k in range(n_bins):
+    for k in range(_HISTOGRAM_BINS):
         lines.append(f"{_fmt(edges[k])},{_fmt(edges[k + 1])},"
                      f"{counts[k]},{_fmt(density[k])}")
     _write_atomic(path, "\n".join(lines) + "\n")

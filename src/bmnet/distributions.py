@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaln, ndtr
+from scipy.special import gammaincc, gammaln, ndtr
 
 # exp() overflows past ~709; anything above this threshold is density zero
 _EXP_OVERFLOW = 700.0
@@ -63,7 +63,8 @@ class LNParams:
 
 def _check_positive(w):
     w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
+    # NaN fails w > 0, so it is rejected with the non-positive values
+    if not np.all(w > 0):
         raise ValueError("wealth values must be positive")
     return w
 
@@ -85,28 +86,12 @@ def giga_logpdf(p: GIGaParams, w):
     return out if out.ndim else float(out)
 
 
-def giga_pdf(p: GIGaParams, w):
-    """Density of the GIGa family."""
-    return np.exp(giga_logpdf(p, w))
-
-
 def giga_cdf(p: GIGaParams, w):
     """CDF via the regularized upper incomplete gamma: Q(alpha, (beta/w)**gamma)."""
     w = _check_positive(w)
     lr = p.gamma * (np.log(p.beta) - np.log(w))
     out = gammaincc(p.alpha, np.exp(np.minimum(lr, _EXP_OVERFLOW)))
     return out if np.ndim(out) else float(out)
-
-
-def giga_quantile(p: GIGaParams, u):
-    """Inverse CDF.  u=0 maps to 0, u=1 to +inf."""
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u > 1)):
-        raise ValueError("quantile argument must lie in [0, 1]")
-    x = gammainccinv(p.alpha, u)
-    with np.errstate(divide="ignore"):
-        out = p.beta * x ** (-1.0 / p.gamma)
-    return out if out.ndim else float(out)
 
 
 def giga_sample(p: GIGaParams, count: int, seed) -> np.ndarray:
@@ -118,13 +103,6 @@ def giga_sample(p: GIGaParams, count: int, seed) -> np.ndarray:
     # a denormal gamma draw would map to inf; clip at the smallest normal
     x = np.maximum(x, np.finfo(float).tiny)
     return p.beta * x ** (-1.0 / p.gamma)
-
-
-def giga_mean(p: GIGaParams) -> float:
-    """Mean beta * Gamma(alpha - 1/gamma) / Gamma(alpha); inf when alpha*gamma <= 1."""
-    if p.alpha * p.gamma <= 1.0:
-        return math.inf
-    return p.beta * math.exp(gammaln(p.alpha - 1.0 / p.gamma) - gammaln(p.alpha))
 
 
 def theta_of_gamma(J: float, sigma2: float, gamma: float) -> float:
@@ -164,28 +142,11 @@ def stationary_giga(J: float, sigma2: float, gamma: float) -> GIGaParams:
     return GIGaParams(alpha=alpha, beta=beta, gamma=gamma)
 
 
-def transient_lognormal_J0(sigma: float, t: float) -> LNParams:
-    """Lognormal law of uncoupled wealth at time t: mu=-sigma^2 t, s=sigma sqrt(2t).
-
-    With no coupling there is no stationary limit; the spread grows with
-    t without bound while the mean stays at one.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return LNParams(mu=-sigma * sigma * t, s=sigma * math.sqrt(2.0 * t))
-
-
 def ln_logpdf(p: LNParams, w):
     w = _check_positive(w)
     z = (np.log(w) - p.mu) / p.s
     out = -np.log(w) - np.log(p.s) - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z
     return out if out.ndim else float(out)
-
-
-def ln_pdf(p: LNParams, w):
-    return np.exp(ln_logpdf(p, w))
 
 
 def ln_cdf(p: LNParams, w):

@@ -8,8 +8,7 @@ where the drift f depends on the chosen dynamics: pairwise exchange on a
 network (f_i = (J/n) sum_j (w_j - w_i) over neighbors), its mean-field
 limit (f_i = J (wbar - w_i)), or the decoupled effective-field form
 (f_i = J (theta w_i**(1-gamma) - w_i)).  Rescaling removes the secular
-exp(sigma^2 t) growth of the raw wealth, which :func:`to_unscaled`
-restores.
+exp(sigma^2 t) growth of the raw wealth: W_i = w_i exp(sigma^2 t).
 
 Each dynamics class holds the one implementation of its drift, and of
 its Jacobian product and curvature term sigma^2 w^2 f'' for the order
@@ -122,33 +121,25 @@ class NoiseGenerator:
         return self._gen
 
 
-def step_noise(seed: int, step: int, n: int, dt: float,
-               with_dz: bool = False, gen: NoiseGenerator | None = None,
-               steps: int | None = None) -> tuple:
+def step_noise(gen: NoiseGenerator, step: int, n: int, dt: float,
+               with_dz: bool = False, steps: int | None = None) -> tuple:
     """Counter-based Wiener increments (dB, dZ) for one step of n agents,
     or with ``steps = K`` for the K steps from ``step`` on.
 
     dB has variance dt.  dZ (None unless ``with_dz``; only the order-1.5
     scheme needs it) integrates over the step the Brownian increment
     since its start: Var(dZ) = dt^3/3, Cov(dB, dZ) = dt^2/2.  The draws
-    of step k come from a Philox generator at counter (lane 0, k) keyed
-    by the seed: ``gen``, a :class:`NoiseGenerator` built for this seed
-    and moved to that counter, or else a freshly built one.  Either way
-    the stream is a pure function of (seed, k), and the dB values are
-    identical whether or not dZ is requested.  With ``steps`` the arrays
-    have shape (K, n) and row j holds what a call for step + j alone
-    returns; without it they have shape (n,).  Both arrays are views of
-    one buffer made on every call.
+    of step k come from ``gen``, the run's :class:`NoiseGenerator`, moved
+    to counter (lane 0, k), so the stream is a pure function of the seed
+    and k, and the dB values are identical whether or not dZ is
+    requested.  With ``steps`` the arrays have shape (K, n) and row j
+    holds what a call for step + j alone returns; without it they have
+    shape (n,).  Both arrays are views of one buffer made on every call.
     """
     rows = 1 if steps is None else steps
     z = np.empty((rows, 2, n) if with_dz else (rows, n))
     for j in range(rows):
-        if gen is None:
-            rng = np.random.Generator(np.random.Philox(
-                counter=[0, 0, _NOISE_LANE, step + j], key=np.uint64(seed)))
-        else:
-            rng = gen.at(step + j)
-        rng.standard_normal(out=z[j])
+        gen.at(step + j).standard_normal(out=z[j])
     # products and sums below are commutative, so the in-place forms
     # give the same bits as sqrt(dt) * z and (0.5 dt^1.5)(z0 + z1/sqrt(3))
     if with_dz:
@@ -254,24 +245,20 @@ class MeanFieldDynamics:
 class EFTDynamics:
     """Decoupled effective-field dynamics with exponent gamma_eft.
 
-    ``theta`` defaults to the unit-mean normalizer for the given model
-    parameters and is resolved lazily on first use.
+    theta is the unit-mean normalizer theta_of_gamma(J, sigma^2,
+    gamma_eft) of the model parameters, computed on first use and cached
+    per parameters.
     """
 
     kind = "eft"
 
-    def __init__(self, gamma_eft: float, theta: float | None = None):
+    def __init__(self, gamma_eft: float):
         if not 0 < gamma_eft <= 1:
             raise ValueError(f"gamma_eft must lie in (0, 1], got {gamma_eft}")
-        if theta is not None and not theta > 0:
-            raise ValueError(f"theta must be positive, got {theta}")
         self.gamma_eft = gamma_eft
-        self.theta = theta
         self._theta_params = None
 
     def _theta(self, params: ModelParams) -> float:
-        if self.theta is not None:
-            return self.theta
         if self._theta_params is None or self._theta_params[0] != params:
             self._theta_params = (
                 params, theta_of_gamma(params.J, params.sigma2, self.gamma_eft))
@@ -403,13 +390,6 @@ def _check_positive_state(w: np.ndarray, t: float) -> None:
                               finite=bool(np.isfinite(w[agent])))
 
 
-def to_unscaled(w: np.ndarray, sigma: float, t: float) -> np.ndarray:
-    """Undo the mean-growth rescaling: W_i = w_i exp(sigma^2 t)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return np.asarray(w, dtype=float) * math.exp(sigma * sigma * t)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of one ensemble run."""
@@ -538,8 +518,8 @@ def simulate(config: SimConfig) -> list:
     try:
         _step_loop(w, config.dynamics, config.params, config.scheme,
                    config.dt, config.n_steps,
-                   lambda k, K: step_noise(config.seed, k, config.N, config.dt,
-                                           with_dz=with_dz, gen=gen, steps=K),
+                   lambda k, K: step_noise(gen, k, config.N, config.dt,
+                                           with_dz=with_dz, steps=K),
                    record)
     except PositivityError as err:
         err.snapshots = snapshots
@@ -547,13 +527,13 @@ def simulate(config: SimConfig) -> list:
     return snapshots
 
 
-def strong_convergence_study(scheme: str, dts, n_paths: int, seed: int,
-                             sigma: float = math.sqrt(0.05),
-                             t_end: float = 1.0) -> dict:
+def strong_convergence_study(scheme: str, dts, n_paths: int,
+                             seed: int) -> dict:
     """Strong-error slope of a scheme against the exact uncoupled solution.
 
-    With J = 0 each path is a geometric Brownian motion with the exact
-    solution w_t = w_0 exp(sqrt(2) sigma B_t - sigma^2 t).  All step
+    Paths run from w = 1 to t = 1 at sigma^2 = 0.05.  With J = 0 each
+    path is a geometric Brownian motion with the exact solution
+    w_t = w_0 exp(sqrt(2) sigma B_t - sigma^2 t).  All step
     sizes are driven by one shared Brownian path per sample, generated at
     the finest level and aggregated exactly (dZ of a coarse step is the
     sum of fine dZ plus the time integral of the accumulated fine dB).
@@ -561,6 +541,7 @@ def strong_convergence_study(scheme: str, dts, n_paths: int, seed: int,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    sigma, t_end = math.sqrt(0.05), 1.0
     dts = sorted(float(d) for d in dts)
     if not dts or dts[0] <= 0:
         raise ValueError("need positive step sizes")

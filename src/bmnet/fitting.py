@@ -166,14 +166,6 @@ def _gamma_mle_from_stats(mean_y: float, mean_log_y: float, shape0=None):
     return shape, mean_y / shape, steps
 
 
-def gamma_shape_scale_mle(samples):
-    """MLE (shape, scale) of a gamma-distributed sample."""
-    y = _validate_samples(samples, 2)
-    shape, scale, _ = _gamma_mle_from_stats(float(y.mean()),
-                                            float(np.log(y).mean()))
-    return shape, scale
-
-
 def _profile_loglik(n, gamma, mean_y, mean_log_y, mean_log_w, shape):
     """Profiled GIGa loglik at exponent gamma from sufficient statistics;
     takes floats or arrays over gamma."""
@@ -289,13 +281,11 @@ def fit_iga(samples) -> FitReport:
                      n=x.size, converged=True, iterations=iters)
 
 
-def _giga_mle(samples, gamma_range=GAMMA_SEARCH_RANGE, gamma_tol=GAMMA_TOL):
+def _giga_mle(samples):
     """Validated sample, GIGa MLE parameters, whether beta and the shape
     came out finite, profile evaluations and the boundary flag."""
     x = _validate_samples(samples, 10)
-    lo, hi = gamma_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"invalid gamma search range {gamma_range}")
+    lo, hi = GAMMA_SEARCH_RANGE
     # the profile of w / exp(shift) peaks where that of w does; with
     # centered logs the powers overflow only for a wide sample, not for
     # one in other units
@@ -303,25 +293,21 @@ def _giga_mle(samples, gamma_range=GAMMA_SEARCH_RANGE, gamma_tol=GAMMA_TOL):
     shift = float(log_w.mean())
     log_w -= shift
     mean_log_w = float(log_w.mean())
-    if lo == hi:
-        start, shape, evals = lo, None, 0
-        a = b = lo
-    else:
-        grid = np.linspace(lo, hi, _SCAN_POINTS)
-        values, shapes = _profile_scan(log_w, mean_log_w, grid)
-        evals = grid.size
-        best = int(np.argmax(values))  # first max: smallest gamma on ties
-        if not np.isfinite(values[best]):
-            raise DegenerateSampleError("profile likelihood undefined everywhere")
-        start, shape = grid[best], float(shapes[best])
-        a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    values, shapes = _profile_scan(log_w, mean_log_w, grid)
+    evals = grid.size
+    best = int(np.argmax(values))  # first max: smallest gamma on ties
+    if not np.isfinite(values[best]):
+        raise DegenerateSampleError("profile likelihood undefined everywhere")
+    start, shape = grid[best], float(shapes[best])
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
 
     # safeguarded Newton on the score inside the bracket [a, b]: a
     # bisection replaces any step that leaves the bracket, meets a
     # non-negative curvature or a degenerate inner problem, or does not
     # halve the previous move, so the moves shrink geometrically.  The
     # search stops at the first evaluation after a move of at most
-    # gamma_tol, or where the score points out of the search range.
+    # GAMMA_TOL, or where the score points out of the search range.
     y, z = np.empty_like(log_w), np.empty_like(log_w)
     gam, move = start, b - a
     while True:
@@ -339,7 +325,7 @@ def _giga_mle(samples, gamma_range=GAMMA_SEARCH_RANGE, gamma_tol=GAMMA_TOL):
             a = gam
         elif d1 < 0.0 or np.isnan(d1):
             b = gam
-        if move <= gamma_tol:
+        if move <= GAMMA_TOL:
             break
         step = -d1 / d2 if d2 < 0.0 else np.nan
         new = (gam + step if a < gam + step < b and abs(step) <= 0.5 * move
@@ -351,28 +337,25 @@ def _giga_mle(samples, gamma_range=GAMMA_SEARCH_RANGE, gamma_tol=GAMMA_TOL):
     log_beta = shift - np.log(scale) / gam
     beta = float(np.exp(log_beta)) if abs(log_beta) < 700.0 else np.inf
     converged = bool(np.isfinite(beta) and np.isfinite(shape))
-    at_boundary = bool(lo < hi and (gam - lo <= 2 * gamma_tol
-                                    or hi - gam <= 2 * gamma_tol))
+    at_boundary = bool(gam - lo <= 2 * GAMMA_TOL or hi - gam <= 2 * GAMMA_TOL)
     # keep the report inspectable even when beta over/underflowed
     params = GIGaParams(alpha=shape, beta=beta if converged else 1.0,
                         gamma=float(gam))
     return x, params, converged, evals, at_boundary
 
 
-def fit_giga(samples, gamma_range=GAMMA_SEARCH_RANGE,
-             gamma_tol=GAMMA_TOL) -> FitReport:
+def fit_giga(samples) -> FitReport:
     """Three-parameter GIGa MLE by profile likelihood over the exponent.
 
-    Scans gamma_range on 28 points, then refines the best bracket by
-    safeguarded Newton steps on the profile score until a step moves
-    gamma by at most gamma_tol (three or four score evaluations).  Ties in the
-    scan resolve to the smallest gamma (flat profiles arise for
-    near-lognormal data).  Where the score at the best scan point points
-    out of gamma_range, the fit returns that end exactly; boundary
-    solutions are flagged, not errored.
+    Scans GAMMA_SEARCH_RANGE, [0.05, 4], on 28 points, then refines the
+    best bracket by safeguarded Newton steps on the profile score until
+    a step moves gamma by at most GAMMA_TOL, 1e-4 (three or four score
+    evaluations).  Ties in the scan resolve to the smallest gamma (flat
+    profiles arise for near-lognormal data).  Where the score at the best
+    scan point points out of the range, the fit returns that end exactly;
+    boundary solutions are flagged, not errored.
     """
-    x, params, converged, evals, at_boundary = _giga_mle(
-        samples, gamma_range, gamma_tol)
+    x, params, converged, evals, at_boundary = _giga_mle(samples)
     loglik = float(np.sum(giga_logpdf(params, x))) if converged else -np.inf
     return FitReport(family="GIGa", params=params, loglik=loglik,
                      n=x.size, converged=converged, iterations=evals,

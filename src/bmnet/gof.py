@@ -48,8 +48,11 @@ _KS_FULL_BELOW = 1024
 class GofReport:
     """A fitted family with its KS distance and bootstrap p-value.
 
-    The p-value is the fraction k/B of replicates whose KS statistic
-    reached the observed one; a reported 0 therefore means p < 1/B.
+    The p-value is exceed_count / B: the fraction of the B replicates
+    whose KS statistic reached the observed one, so a reported 0 means
+    p < 1/B.  The denominator is B, discarded replicates included: a
+    replicate whose refit fails counts as not reaching the observed
+    distance.
     """
 
     fit: FitReport
@@ -130,9 +133,10 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
 
     Fit the family, measure the observed KS distance, then refit on B
     synthetic samples of the same size drawn from the fitted law; the
-    p-value is the fraction of replicates at least as extreme.  Only
-    that decision is made for each replicate, not its exact distance.
-    Replicates whose refit fails are discarded and counted.
+    p-value is the fraction of the B replicates at least as extreme.
+    Only that decision is made for each replicate, not its exact
+    distance.  Replicates whose refit fails are discarded and counted;
+    they stay in the denominator B as not extreme.
     """
     if family not in _FIT:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")

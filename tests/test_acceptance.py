@@ -31,11 +31,12 @@ from bmnet.distributions import (GIGaParams, LNParams, giga_cdf, giga_sample,
                                  ln_sample, stationary_giga, theta_of_gamma)
 from bmnet.engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
                           NetworkDynamics, SimConfig, simulate,
-                          strong_convergence_study, to_unscaled)
+                          strong_convergence_study)
 from bmnet.fitting import fit_giga
 from bmnet.gof import compare_families, ks_pvalue_bootstrap, ks_statistic
 from bmnet.topology import (build_complete, build_random_smallworld,
                             build_regular_ring)
+from oracles import to_unscaled
 from test_distributions import PARAM_GRID, quad_log_space
 
 BASE_PARAMS = ModelParams.from_sigma2(0.05, 0.1)

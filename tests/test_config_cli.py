@@ -359,9 +359,9 @@ def test_histogram_writer_bins(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.gamma(3.0, 1.0, 500)
     path = tmp_path / "h.csv"
-    cli.write_histogram_csv(str(path), x, n_bins=20)
+    cli.write_histogram_csv(str(path), x)
     lines = path.read_text().splitlines()
-    assert len(lines) == 21
+    assert len(lines) == 51
     rows = [line.split(",") for line in lines[1:]]
     lefts = [float(r[0]) for r in rows]
     rights = [float(r[1]) for r in rows]

@@ -13,11 +13,14 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from bmnet.distributions import (GIGaParams, LNParams, giga_cdf, giga_logpdf,
-                                 giga_mean, giga_pdf, giga_quantile,
-                                 giga_sample, ln_cdf, ln_pdf, ln_sample,
-                                 stationary_giga, theta_of_gamma,
-                                 transient_lognormal_J0)
+                                 giga_sample, ln_cdf, ln_logpdf, ln_sample,
+                                 stationary_giga, theta_of_gamma)
 from bmnet.gof import ks_statistic
+from oracles import (giga_mean, giga_pdf, giga_quantile, ln_pdf,
+                     transient_lognormal_J0)
+
+# NaN, alone or inside an array, is rejected like a non-positive value
+NOT_POSITIVE = [0.0, -1.0, np.nan, np.array([1.0, np.nan, 2.0])]
 
 PARAM_GRID = [GIGaParams(a, b, g)
               for a in (0.5, 1.0, 3.0, 6.0, 10.0)
@@ -53,10 +56,14 @@ class TestGIGaDensity:
         assert giga_logpdf(p, 1e-320) == -np.inf
 
     def test_rejects_nonpositive_wealth(self):
-        with pytest.raises(ValueError):
-            giga_pdf(GIGaParams(3, 2, 1), 0.0)
-        with pytest.raises(ValueError):
-            giga_pdf(GIGaParams(3, 2, 1), -1.0)
+        p = GIGaParams(3, 2, 1)
+        for w in NOT_POSITIVE:
+            for fn in (giga_logpdf, giga_cdf):
+                with pytest.raises(ValueError):
+                    fn(p, w)
+        # +inf is a valid wealth: no density, all of the mass below it
+        assert giga_logpdf(p, np.inf) == -np.inf
+        assert giga_cdf(p, np.inf) == 1.0
 
     def test_power_law_tail_ratio(self):
         # tail exponent 1 + alpha*gamma = 4: pdf(2w)/pdf(w) -> 2^-4.
@@ -267,7 +274,12 @@ class TestLognormalFamily:
             assert approx == pytest.approx(ln_pdf(p, x), rel=1e-6)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ln_pdf(LNParams(0.0, 1.0), -2.0)
+        p = LNParams(0.0, 1.0)
+        for w in [-2.0, *NOT_POSITIVE]:
+            for fn in (ln_logpdf, ln_cdf):
+                with pytest.raises(ValueError):
+                    fn(p, w)
+        assert ln_logpdf(p, np.inf) == -np.inf
+        assert ln_cdf(p, np.inf) == 1.0
         with pytest.raises(ValueError):
             LNParams(0.0, 0.0)

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from bmnet import engine
+from bmnet.distributions import theta_of_gamma
 from bmnet.engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
                           NetworkDynamics, SimConfig, milstein_step, simulate,
-                          step_noise, strong_convergence_study, taylor15_step,
-                          to_unscaled)
+                          step_noise, strong_convergence_study, taylor15_step)
 from bmnet.errors import PositivityError
 from bmnet.gof import ks_statistic
 from bmnet.topology import (build_complete, build_random_smallworld,
                             build_regular_ring)
+from oracles import to_unscaled
 
 BASE_PARAMS = ModelParams.from_sigma2(0.05, 0.1)
 
@@ -47,6 +48,26 @@ class ReadOnlyMeanField(MeanFieldDynamics):
 
     def jacobian_apply(self, w, v, params):
         return _read_only(super().jacobian_apply(w, v, params))
+
+
+def noise(seed, step, n, dt, with_dz=False):
+    """The increments of one step, from a new generator for the seed."""
+    return step_noise(engine.NoiseGenerator(seed), step, n, dt,
+                      with_dz=with_dz)
+
+
+def philox_noise(seed, step, n, dt, with_dz):
+    """The increments of one step as the noise-stream contract defines
+    them: standard normals from a fresh Philox generator at counter
+    (lane 0, step) keyed by the seed, dB = sqrt(dt) z0 and
+    dZ = (dt^1.5 / 2)(z0 + z1 / sqrt(3))."""
+    gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, step],
+                                               key=np.uint64(seed)))
+    z = gen.standard_normal((2, n) if with_dz else (1, n))
+    db = math.sqrt(dt) * z[0]
+    if not with_dz:
+        return db, None
+    return db, 0.5 * dt ** 1.5 * (z[0] + z[1] / math.sqrt(3.0))
 
 
 def milstein(w, t, dyn, params, dt, db):
@@ -209,26 +230,23 @@ class TestMeanFieldDrift:
 
 class TestEFTDrift:
     def test_mean_field_endpoint(self):
+        # theta(1) = 1
         w = np.array([0.5, 1.0, 2.0])
-        f = EFTDynamics(1.0, theta=1.0).drift(w, BASE_PARAMS)
+        f = EFTDynamics(1.0).drift(w, BASE_PARAMS)
         assert f == pytest.approx(0.1 * (1.0 - w))
 
     def test_deterministic_fixed_point(self):
-        theta, gamma = 1.3, 0.4
+        gamma = 0.4
+        theta = theta_of_gamma(BASE_PARAMS.J, BASE_PARAMS.sigma2, gamma)
         w_star = theta ** (1.0 / gamma)
-        f = EFTDynamics(gamma, theta=theta).drift(np.array([w_star]),
-                                                  BASE_PARAMS)
+        f = EFTDynamics(gamma).drift(np.array([w_star]), BASE_PARAMS)
         assert f == pytest.approx([0.0], abs=1e-14)
 
     def test_arithmetic_example(self):
-        theta = 0.25 * math.sqrt(20.0)  # unit-mean normalizer at gamma=0.5
-        f = EFTDynamics(0.5, theta=theta).drift(np.array([4.0]), BASE_PARAMS)
+        # the unit-mean normalizer at gamma = 0.5 is 0.25 sqrt(20), so
+        # f(4) = 0.1 (0.25 sqrt(20) * 2 - 4)
+        f = EFTDynamics(0.5).drift(np.array([4.0]), BASE_PARAMS)
         assert f[0] == pytest.approx(-0.17639320225002103, rel=1e-12)
-
-    def test_rejects_nonpositive_theta(self):
-        for theta in (0.0, -1.0):
-            with pytest.raises(ValueError, match="theta"):
-                EFTDynamics(0.5, theta=theta)
 
 
 class TestMilsteinStep:
@@ -268,7 +286,7 @@ class TestMilsteinStep:
 def test_non_finite_state_raises(bad, scheme):
     # NaN fails every comparison, so a plain w <= 0 test lets it through
     w = np.array([1.0, 0.9, bad, 1.1])
-    db, dz = step_noise(2, 0, 4, 0.01, with_dz=True)
+    db, dz = noise(2, 0, 4, 0.01, with_dz=True)
     with pytest.raises(PositivityError) as err, \
             np.errstate(invalid="ignore", over="ignore"):
         if scheme == "milstein":
@@ -313,7 +331,7 @@ class TestTaylor15Step:
             diffs = []
             for seed in range(120):
                 w = rng.gamma(3.0, 0.4, 50) + 0.05
-                db, dz = step_noise(seed, 0, 50, dt, with_dz=True)
+                db, dz = noise(seed, 0, 50, dt, with_dz=True)
                 a = milstein(w, 0.0, dyn, BASE_PARAMS, dt, db)
                 b = taylor15(w, 0.0, dyn, BASE_PARAMS, dt, db, dz)
                 diffs.append(np.max(np.abs(a - b)))
@@ -439,7 +457,7 @@ def test_taylor15_step_matches_written_out_scheme(case):
     rng = np.random.default_rng(len(case))
     N = 60 if case == "smallworld" else 40
     w = rng.gamma(3.0, 0.4, N) + 0.05
-    db, dz = step_noise(11, 0, N, dt, with_dz=True)
+    db, dz = noise(11, 0, N, dt, with_dz=True)
     f, jac, fpp = _derivatives(dyn, w, params)
     s2, c = params.sigma2, math.sqrt(2.0) * params.sigma
     l0 = jac @ f + (0 if fpp is None else s2 * w * w * fpp)
@@ -467,8 +485,9 @@ class TestNoiseStreams:
     def test_increment_statistics(self):
         dt = 0.04
         db_all, dz_all = [], []
+        gen = engine.NoiseGenerator(9)
         for step in range(400):
-            db, dz = step_noise(9, step, 256, dt, with_dz=True)
+            db, dz = step_noise(gen, step, 256, dt, with_dz=True)
             db_all.append(db)
             dz_all.append(dz)
         db = np.concatenate(db_all)
@@ -480,19 +499,19 @@ class TestNoiseStreams:
         assert cov == pytest.approx(dt ** 2 / 2.0, rel=0.03)
 
     def test_db_identical_with_and_without_dz(self):
-        db_a, dz_a = step_noise(5, 17, 64, 0.01, with_dz=False)
-        db_b, dz_b = step_noise(5, 17, 64, 0.01, with_dz=True)
+        db_a, dz_a = noise(5, 17, 64, 0.01, with_dz=False)
+        db_b, dz_b = noise(5, 17, 64, 0.01, with_dz=True)
         assert dz_a is None and dz_b.shape == (64,)
         assert np.array_equal(db_a, db_b)
 
     def test_steps_are_independent_streams(self):
-        a, _ = step_noise(5, 0, 32, 0.01)
-        b, _ = step_noise(5, 1, 32, 0.01)
+        a, _ = noise(5, 0, 32, 0.01)
+        b, _ = noise(5, 1, 32, 0.01)
         assert not np.array_equal(a, b)
 
     def test_pure_function_of_seed_and_step(self):
-        assert np.array_equal(step_noise(7, 3, 16, 0.01)[0],
-                              step_noise(7, 3, 16, 0.01)[0])
+        assert np.array_equal(noise(7, 3, 16, 0.01)[0],
+                              noise(7, 3, 16, 0.01)[0])
 
     @given(st.integers(0, 2 ** 64 - 1),
            st.lists(st.tuples(st.one_of(st.integers(0, 8),
@@ -505,15 +524,14 @@ class TestNoiseStreams:
         # what a fresh one at (seed, step) gives, with or without dZ
         gen = engine.NoiseGenerator(seed)
         for step, with_dz in draws:
-            db, dz = step_noise(seed, step, n, 0.01, with_dz=with_dz, gen=gen)
-            db_f, dz_f = step_noise(seed, step, n, 0.01, with_dz=with_dz)
+            db, dz = step_noise(gen, step, n, 0.01, with_dz=with_dz)
+            db_f, dz_f = philox_noise(seed, step, n, 0.01, with_dz)
             assert np.array_equal(db, db_f)
             if with_dz:
                 assert np.array_equal(dz, dz_f)
             else:
                 assert dz is None and dz_f is None
-            db_o, _ = step_noise(seed, step, n, 0.01, with_dz=not with_dz,
-                                 gen=gen)
+            db_o, _ = step_noise(gen, step, n, 0.01, with_dz=not with_dz)
             assert np.array_equal(db_o, db)
 
 
@@ -522,18 +540,16 @@ class TestNoiseBlocks:
     depend on how many."""
 
     @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 40),
-           st.integers(1, 9), st.integers(1, 40), st.booleans(),
-           st.booleans())
+           st.integers(1, 9), st.integers(1, 40), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_block_rows_equal_single_steps(self, seed, step, steps, n,
-                                           with_dz, reuse):
-        gen = engine.NoiseGenerator(seed) if reuse else None
-        db, dz = step_noise(seed, step, n, 0.01, with_dz=with_dz, gen=gen,
-                            steps=steps)
+                                           with_dz):
+        db, dz = step_noise(engine.NoiseGenerator(seed), step, n, 0.01,
+                            with_dz=with_dz, steps=steps)
         assert db.shape == (steps, n)
         assert (dz is None) == (not with_dz)
         for j in range(steps):
-            db_j, dz_j = step_noise(seed, step + j, n, 0.01, with_dz=with_dz)
+            db_j, dz_j = philox_noise(seed, step + j, n, 0.01, with_dz)
             assert np.array_equal(db[j], db_j)
             if with_dz:
                 assert dz.shape == (steps, n)
@@ -680,8 +696,7 @@ class TestNoAliasing:
     @pytest.mark.parametrize("shared_drift", [False, True])
     def test_steps_accept_read_only_inputs(self, scheme, shared_drift):
         w = _read_only(np.linspace(0.5, 2.0, 6))
-        db, dz = (_read_only(a) for a in step_noise(3, 0, 6, 0.01,
-                                                    with_dz=True))
+        db, dz = (_read_only(a) for a in noise(3, 0, 6, 0.01, with_dz=True))
         coefficients = [_read_only(a) for a in engine._step_coefficients(
             scheme, BASE_PARAMS, 0.01, db, dz)]
         f = _read_only(np.linspace(-0.1, 0.1, 6))

@@ -7,7 +7,11 @@ every file the command writes, ``manifest.json`` included.  The cases
 cover every dynamics kind (complete, ring z = 0.1, small-world
 p_sw = 0.05, mean-field, effective-field gamma = 0.5) under both
 schemes, plus one ``gaussian:0.1`` initial state.  ``bmnet convergence``
-is pinned for both schemes at 200 paths.
+is pinned for both schemes at 200 paths, and ``bmnet reproduce`` for
+figure 2 (histogram mode, small-world Milstein: N = 60, B = 9,
+t_end = 2, times 1 and 2) and figure 5 (evolution mode, four EFT runs:
+N = 40, B = 5, t_end = 1, time 1), both at seed 3.  The ``reproduce``
+hashes were recorded at format version 6.
 
 The hashes were recorded with numpy 2.4.6 and scipy 1.17.1 on Python
 3.11.7, before the two stepping loops of the engine were merged into
@@ -89,6 +93,12 @@ CASES["smallworld-milstein-gaussian"] = ("smallworld", "milstein",
                                          "gaussian:0.1")
 
 # sha256sum-style lines: <hash>  <case>/<command>/<file>
+# reduced sizes of the pinned ``reproduce`` runs, by figure
+REPRODUCE = {
+    2: dict(N=60, bootstrap_b=9, seed=3, t_end=2.0, times=(1.0, 2.0)),
+    5: dict(N=40, bootstrap_b=5, seed=3, t_end=1.0, times=(1.0,)),
+}
+
 GOLDEN_TEXT = """\
 101cf2cbcf9a00f93c0b24c250ee6e8432ea197523551beb90800cdac7d84e0b  complete-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  complete-milstein/simulate/snapshot_t0.0.csv
@@ -158,6 +168,16 @@ ed187ea83c6dc8846844ebb598f40abddd05669a38ab6e697a55e818f9a0fc88  smallworld-mil
 69234d201dda23e9e3813a95928e5d521c281ec259464bcdc3fb1135c462ccd5  smallworld-milstein-gaussian/evolve/manifest.json
 ede9ec5c705ebd763ba764c913703216dded4448ecffb8dba28971c4b19d7ed1  convergence-milstein/convergence/convergence_milstein.json
 09092dc80be30673ec52ec737423dafc749b2cef07220a6ef2408d2f037e97be  convergence-taylor15/convergence/convergence_taylor15.json
+0469d3c4f259462bef23f29257b46f82995156eba5c2dbec3083692513eadb8b  fig2/reproduce/evolution_rann_p0.003.csv
+9111574f71430d24ceed6b822ef3d75df4cfa857e536aec1f506b35972dc2f17  fig2/reproduce/gof_rann_p0.003.json
+511c489aca1a8dd36b7e083aee8db413cc7da59acda29b4000a793e1909d646a  fig2/reproduce/hist_rann_p0.003_t1.0.csv
+76aad8aacff4bcf7c23dd0562c942ae1fda858ae420e336a5b1d5bb4880abaf5  fig2/reproduce/hist_rann_p0.003_t2.0.csv
+758ae7efd5e6d1243b09bf1b640af987f4c82c1be499a84c2c0959b9d3d87c96  fig2/reproduce/manifest.json
+e426be53d9490c22c1217fcb31324e78f5a1be6cea42113aa77ac07eae6bdbe0  fig5/reproduce/evolution_eft_g0.4.csv
+16b3698d55a6b9c415e8ed58e371812978214ccf2f0145b5dc566e8282684b76  fig5/reproduce/evolution_eft_g0.5.csv
+b36467de382541a7d9c00111275baff23c3457c807f87415f336f443c850dc85  fig5/reproduce/evolution_eft_g0.6.csv
+f3103ba19acb3569629cc2fc426d3ccff4c6e4477dc33025d6dbb494afe374e6  fig5/reproduce/evolution_eft_g0.8.csv
+c5bc38d224444be3932f763f0eae60759dfe321178281764a282202614843768  fig5/reproduce/manifest.json
 """
 
 
@@ -181,6 +201,11 @@ def _hashes(out_dir) -> dict:
 def _run(tmp_path, case, command) -> dict:
     """Hashes of what ``bmnet <command>`` writes for one golden case."""
     out = tmp_path / "out"
+    if command == "reproduce":
+        figure = int(case.removeprefix("fig"))
+        assert cli.cmd_reproduce(figure, out_dir=str(out), dt=0.01,
+                                 **REPRODUCE[figure]) == 0
+        return _hashes(out / case)
     if command == "convergence":
         args = ["--scheme", case.split("-", 1)[1], "--paths", "200"]
     else:
@@ -206,6 +231,12 @@ def test_convergence_output_unchanged(tmp_path, scheme):
         GOLDEN[f"{case}/convergence"]
 
 
+@pytest.mark.parametrize("figure", list(REPRODUCE))
+def test_reproduce_output_unchanged(tmp_path, figure):
+    case = f"fig{figure}"
+    assert _run(tmp_path, case, "reproduce") == GOLDEN[f"{case}/reproduce"]
+
+
 if __name__ == "__main__":
     # print the current hashes in GOLDEN_TEXT's format, to re-record them;
     # what the commands themselves print goes to stderr
@@ -218,6 +249,7 @@ if __name__ == "__main__":
             for command in ("simulate", "evolve")]
     runs += [(f"convergence-{s}", "convergence")
              for s in ("milstein", "taylor15")]
+    runs += [(f"fig{figure}", "reproduce") for figure in REPRODUCE]
     for case, command in runs:
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(sys.stderr):
