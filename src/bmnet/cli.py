@@ -209,7 +209,7 @@ def cmd_evolve(config_path, seed=None, out_dir=".") -> int:
 def cmd_theta(J: float = _DEFAULT_J, sigma2: float = _DEFAULT_SIGMA2,
               out_dir: str = ".") -> int:
     """Tabulate (gamma, theta, alpha, beta) on a 101-point grid over (0, 1]."""
-    if J <= 0 or sigma2 <= 0:
+    if not (0 < J < np.inf and 0 < sigma2 < np.inf):
         raise ConfigError(f"J and sigma2 must be positive, got J={J}, "
                           f"sigma2={sigma2}")
     os.makedirs(out_dir, exist_ok=True)

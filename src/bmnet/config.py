@@ -8,7 +8,8 @@ Sections and keys:
     [run]       N, dt, t_end, snapshot_times, scheme, init, seed
     [fit]       families, fit_times, bootstrap_B     (optional section)
 
-Unknown sections or keys are errors, anchored to their line.  Lists are
+Unknown sections or keys are errors, anchored to their line.  Numbers
+must be finite, and a seed must lie in [0, 2**64).  Lists are
 comma separated.  ``init`` is ``ones``, ``gaussian`` or ``gaussian:<sd>``.
 ``scheme`` defaults by dynamics kind: the ring lattice uses the order-1.5
 Taylor scheme, everything else Milstein.  The small-world topology seed
@@ -17,6 +18,7 @@ is the run seed, so a config fully determines its realization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import engine, topology
@@ -113,9 +115,23 @@ def _get(sections, section, key, convert, default=None, required=True):
         raise ConfigError(f"bad value for {key!r}: {exc}", where) from exc
 
 
+def _finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value}")
+    return x
+
+
+def _seed(value: str) -> int:
+    seed = int(value)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _float_list(value: str):
     items = [v.strip() for v in value.split(",") if v.strip()]
-    return tuple(float(v) for v in items)
+    return tuple(_finite(v) for v in items)
 
 
 def _str_list(value: str):
@@ -128,18 +144,23 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         if required not in sections:
             raise ConfigError(f"missing section [{required}]", origin)
 
-    sigma2 = _get(sections, "model", "sigma2", float)
-    J = _get(sections, "model", "J", float)
+    # every value is checked here, before any topology is built
+    sigma2 = _get(sections, "model", "sigma2", _finite)
+    J = _get(sections, "model", "J", _finite)
     if sigma2 <= 0:
         raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    params = ModelParams.from_sigma2(sigma2, J)
+    try:
+        params = ModelParams.from_sigma2(sigma2, J)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     n_agents = _get(sections, "run", "N", int)
-    dt = _get(sections, "run", "dt", float)
-    t_end = _get(sections, "run", "t_end", float)
+    dt = _get(sections, "run", "dt", _finite)
+    t_end = _get(sections, "run", "t_end", _finite)
     snapshot_times = _get(sections, "run", "snapshot_times", _float_list)
-    seed = _get(sections, "run", "seed", int)
-    init_raw = _get(sections, "run", "init", str, default="ones")
+    seed = _get(sections, "run", "seed", _seed)
+    init, init_sd = _parse_init(
+        _get(sections, "run", "init", str, default="ones"))
     scheme = _get(sections, "run", "scheme", str, default="", required=False)
 
     kind = _get(sections, "dynamics", "kind", str)
@@ -149,35 +170,35 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         if key in sections.get("dynamics", {}) and _KIND_EXTRA_KEY.get(kind) != key:
             _, where = sections["dynamics"][key]
             raise ConfigError(f"key {key!r} not valid for kind {kind!r}", where)
+    if kind == "eft" and J == 0:
+        raise ConfigError("eft dynamics needs J > 0: theta is undefined at "
+                          "J = 0", sections["model"]["J"][1])
+    if not scheme:
+        scheme = _DEFAULT_SCHEME.get(kind, engine.MILSTEIN)
+    if scheme not in engine.SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected {engine.SCHEMES}")
 
     try:
         if kind == "complete":
             dynamics = NetworkDynamics(topology.build_complete(n_agents))
         elif kind == "ring":
-            z = _get(sections, "dynamics", "z", float)
+            z = _get(sections, "dynamics", "z", _finite)
             n = z * n_agents
             if abs(n - round(n)) > 1e-9:
                 raise ConfigError(f"z*N = {n} is not an integer ring degree")
             dynamics = NetworkDynamics(
                 topology.build_regular_ring(n_agents, int(round(n))))
         elif kind == "smallworld":
-            p_sw = _get(sections, "dynamics", "p_sw", float)
+            p_sw = _get(sections, "dynamics", "p_sw", _finite)
             dynamics = NetworkDynamics(
                 topology.build_random_smallworld(n_agents, p_sw, seed))
         elif kind == "meanfield":
             dynamics = MeanFieldDynamics()
         else:
-            gamma_eft = _get(sections, "dynamics", "gamma_eft", float)
+            gamma_eft = _get(sections, "dynamics", "gamma_eft", _finite)
             dynamics = EFTDynamics(gamma_eft)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    if not scheme:
-        scheme = _DEFAULT_SCHEME.get(kind, engine.MILSTEIN)
-    if scheme not in engine.SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected {engine.SCHEMES}")
-
-    init, init_sd = _parse_init(init_raw)
 
     sim = SimConfig(params=params, dynamics=dynamics, scheme=scheme,
                     N=n_agents, dt=dt, t_end=t_end,
@@ -225,7 +246,10 @@ def _parse_init(value: str):
     if value == "gaussian":
         return engine.INIT_GAUSSIAN, engine.DEFAULT_GAUSSIAN_INIT_SD
     if value.startswith("gaussian:"):
-        sd = float(value.split(":", 1)[1])
+        try:
+            sd = _finite(value.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad gaussian init sd: {exc}") from exc
         if sd <= 0:
             raise ConfigError(f"gaussian init sd must be positive, got {sd}")
         return engine.INIT_GAUSSIAN, sd

@@ -25,17 +25,22 @@ step from its own counter, and turns the block into per-step
 coefficient rows (the Milstein factor m, the Taylor factors P and Q)
 with a few ufunc calls over (K, N) arrays; the steps then do only the
 work that depends on the state.  K = max(1, 2**14 // draws per step) is
-a module constant, and no output depends on it.
+a module constant, and no output depends on it.  On two CPUs or more, a
+long run forks a producer that draws the blocks ahead of the steps into
+shared memory; the bits are the same.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import _fork
 from .distributions import theta_of_gamma
 from .errors import PositivityError
 from .topology import COMPLETE, REGULAR_RING, NetworkTopology
@@ -57,6 +62,9 @@ _INIT_LANE = 1
 # and its coefficients stay near 256 KB: at 2**15 draws, a Milstein run
 # at N = 1e4 held 0.47 MiB more at its peak than one step at a time
 _BLOCK_DRAWS = 2 ** 14
+# noise blocks a forked producer may hold drawn ahead of the steps: at
+# most 640 KB of shared memory, on the ring with N = 1e4
+_NOISE_SLOTS = 4
 
 
 @dataclass(frozen=True)
@@ -121,38 +129,37 @@ class NoiseGenerator:
         return self._gen
 
 
-def step_noise(gen: NoiseGenerator, step: int, n: int, dt: float,
-               with_dz: bool = False, steps: int | None = None) -> tuple:
-    """Counter-based Wiener increments (dB, dZ) for one step of n agents,
-    or with ``steps = K`` for the K steps from ``step`` on.
+def step_noise(gen: NoiseGenerator, step: int, dt: float,
+               z: np.ndarray) -> tuple:
+    """Fill ``z`` with the counter-based Wiener increments of the K steps
+    from ``step`` on and return them as (dB, dZ), views of ``z``.
 
-    dB has variance dt.  dZ (None unless ``with_dz``; only the order-1.5
-    scheme needs it) integrates over the step the Brownian increment
-    since its start: Var(dZ) = dt^3/3, Cov(dB, dZ) = dt^2/2.  The draws
-    of step k come from ``gen``, the run's :class:`NoiseGenerator`, moved
-    to counter (lane 0, k), so the stream is a pure function of the seed
-    and k, and the dB values are identical whether or not dZ is
-    requested.  With ``steps`` the arrays have shape (K, n) and row j
-    holds what a call for step + j alone returns; without it they have
-    shape (n,).  Both arrays are views of one buffer made on every call.
+    ``z`` has shape (K, n), for dB alone, or (K, 2, n), for dB and dZ;
+    dB and dZ have shape (K, n), and dZ is None for a (K, n) buffer.  dB
+    has variance dt.  dZ (only the order-1.5 scheme needs it) integrates
+    over the step the Brownian increment since its start:
+    Var(dZ) = dt^3/3, Cov(dB, dZ) = dt^2/2.  Row j holds the draws of
+    step + j from ``gen``, the run's :class:`NoiseGenerator`, moved to
+    counter (lane 0, step + j), so the stream is a pure function of the
+    seed and the step, and the dB values are identical whether or not dZ
+    is drawn.
     """
-    rows = 1 if steps is None else steps
-    z = np.empty((rows, 2, n) if with_dz else (rows, n))
-    for j in range(rows):
+    for j in range(z.shape[0]):
         gen.at(step + j).standard_normal(out=z[j])
+    db, dz = _increments(z)
     # products and sums below are commutative, so the in-place forms
     # give the same bits as sqrt(dt) * z and (0.5 dt^1.5)(z0 + z1/sqrt(3))
-    if with_dz:
-        db, dz = z[:, 0], z[:, 1]
+    if dz is not None:
         np.divide(dz, math.sqrt(3.0), dz)
         np.add(dz, db, dz)
         np.multiply(dz, 0.5 * dt ** 1.5, dz)
-    else:
-        db, dz = z, None
     np.multiply(db, math.sqrt(dt), db)
-    if steps is None:
-        return db[0], None if dz is None else dz[0]
     return db, dz
+
+
+def _increments(z: np.ndarray) -> tuple:
+    """The (dB, dZ) views of a :func:`step_noise` buffer."""
+    return (z[:, 0], z[:, 1]) if z.ndim == 3 else (z, None)
 
 
 class NetworkDynamics:
@@ -464,19 +471,24 @@ def initial_state(config: SimConfig) -> np.ndarray:
     return w
 
 
+def _block_steps(draws: int) -> int:
+    """Steps per noise block when each step draws ``draws`` variates."""
+    return max(1, _BLOCK_DRAWS // draws)
+
+
 def _step_loop(w: np.ndarray, dynamics, params: ModelParams, scheme: str,
                dt: float, n_steps: int, noise, after_step=None) -> np.ndarray:
     """Advance w from t = 0 by n_steps steps of size dt; return the result.
 
     ``noise(k, K)`` gives the (dB, dZ) rows of steps k ... k + K - 1, which
-    become per-step coefficient rows in one pass per block;
+    become per-step coefficient rows in one pass per block; it is called
+    for the blocks in order, the next only after the steps of the last.
     ``after_step(k, w)`` sees the state after k steps.  The step
     functions are module globals read at call time, so wrappers installed
     on this module see every step.
     """
     step = milstein_step if scheme == MILSTEIN else taylor15_step
-    draws = w.size if scheme == MILSTEIN else 2 * w.size
-    block = max(1, _BLOCK_DRAWS // draws)
+    block = _block_steps(w.size if scheme == MILSTEIN else 2 * w.size)
     t = 0.0
     for start in range(0, n_steps, block):
         # the noise itself is dropped once its coefficients exist
@@ -494,12 +506,93 @@ def _step_loop(w: np.ndarray, dynamics, params: ModelParams, scheme: str,
     return w
 
 
+@contextmanager
+def _noise_blocks(gen: NoiseGenerator, dt: float, shape: tuple,
+                  n_steps: int):
+    """``noise(k, K)`` for :func:`_step_loop`: the :func:`step_noise` rows
+    of blocks of shape ``shape``, whose first axis is the block length.
+
+    In process, one buffer is filled again for each block.  For a run of
+    at least ``_fork._FORK_MIN_DRAWS`` draws on two CPUs or more, a forked
+    producer draws the blocks, in order, into a ring of shared-memory
+    slots while this process steps.  One pipe passes it the index of each
+    free slot and another passes back each filled one.  A slot goes back
+    only when the next block is asked for, because the coefficients of a
+    Taylor block hold views of its dZ rows.  The draws are the same bits
+    either way.  If the producer ends early the parent raises
+    RuntimeError; on every exit the producer has been reaped.
+    """
+    block = shape[0]
+    if _fork.processes(n_steps * math.prod(shape[1:])) < 2:
+        z = np.empty(shape)
+        yield lambda k, K: step_noise(gen, k, dt, z[:K])
+        return
+    import mmap  # only forked runs need it
+
+    n_blocks = -(-n_steps // block)
+    n_slots = min(_NOISE_SLOTS, n_blocks)
+    ring = mmap.mmap(-1, n_slots * 8 * math.prod(shape))
+    slots = np.frombuffer(ring).reshape((n_slots,) + shape)
+    free_r, free_w = os.pipe()
+    ready_r, ready_w = os.pipe()
+    # the free tokens go in before the fork, so a producer that has
+    # finished and exited never leaves the parent a broken pipe
+    os.write(free_w, bytes(range(n_slots)))
+
+    def produce():
+        os.close(free_w)
+        os.close(ready_r)
+        for start in range(0, n_steps, block):
+            slot = os.read(free_r, 1)
+            if not slot:
+                return  # the parent has gone
+            step_noise(gen, start, dt,
+                       slots[slot[0], :min(block, n_steps - start)])
+            os.write(ready_w, slot)
+
+    try:
+        pid = _fork.fork(produce)
+    finally:
+        os.close(free_r)
+        os.close(ready_w)
+    held = b""
+
+    def noise(k, K):
+        nonlocal held, pid
+        try:
+            # the producer draws block i + n_slots - 1 into the slot that
+            # block i - 1 held, if there is such a block
+            if held and k // block + n_slots <= n_blocks:
+                os.write(free_w, held)
+            held = os.read(ready_r, 1)
+        except BrokenPipeError:
+            held = b""
+        if not held:
+            code, pid = _fork.reap(pid), None
+            raise RuntimeError(f"noise producer exited with status {code} "
+                               f"before step {k}")
+        return _increments(slots[held[0], :K])
+
+    failed = True
+    try:
+        yield noise
+        failed = False
+    finally:
+        os.close(free_w)
+        os.close(ready_r)
+        if pid is not None:
+            code = _fork.reap(pid, kill=failed)
+            if code and not failed:
+                raise RuntimeError(f"noise producer exited with status {code}")
+
+
 def simulate(config: SimConfig) -> list:
     """Integrate the configured ensemble, returning snapshots at the
     requested times.  Deterministic in the config, including the seed.
 
     On a positivity violation the raised :class:`PositivityError` carries
-    the snapshots emitted so far and the failing step index.
+    the snapshots emitted so far and the failing step index.  A forked
+    noise producer, if any, is reaped before this returns or raises.
     """
     config.validate()
     wanted = {}
@@ -513,17 +606,16 @@ def simulate(config: SimConfig) -> list:
 
     w = initial_state(config)
     record(0, w)
-    with_dz = config.scheme == TAYLOR15
-    gen = NoiseGenerator(config.seed)
-    try:
-        _step_loop(w, config.dynamics, config.params, config.scheme,
-                   config.dt, config.n_steps,
-                   lambda k, K: step_noise(gen, k, config.N, config.dt,
-                                           with_dz=with_dz, steps=K),
-                   record)
-    except PositivityError as err:
-        err.snapshots = snapshots
-        raise
+    rows = (2, config.N) if config.scheme == TAYLOR15 else (config.N,)
+    shape = (_block_steps(math.prod(rows)),) + rows
+    with _noise_blocks(NoiseGenerator(config.seed), config.dt, shape,
+                       config.n_steps) as noise:
+        try:
+            _step_loop(w, config.dynamics, config.params, config.scheme,
+                       config.dt, config.n_steps, noise, record)
+        except PositivityError as err:
+            err.snapshots = snapshots
+            raise
     return snapshots
 
 

@@ -7,7 +7,8 @@ from the fitted law and comparing their KS statistics to the observed
 one.  A p-value needs only whether each replicate's distance reaches
 the observed one, so only the observed distance is computed exactly.
 Replicate seeds derive from (seed, replicate index), so the procedure
-is deterministic and replicates could run in any order.
+is deterministic and a large bootstrap splits its replicates over
+forked processes without changing a count.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .distributions import giga_cdf, giga_sample, ln_cdf, ln_sample
 from .errors import DegenerateSampleError
 from .fitting import (FitReport, _giga_mle, _iga_mle, _ln_mle, fit_giga,
@@ -136,7 +138,10 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
     p-value is the fraction of the B replicates at least as extreme.
     Only that decision is made for each replicate, not its exact
     distance.  Replicates whose refit fails are discarded and counted;
-    they stay in the denominator B as not extreme.
+    they stay in the denominator B as not extreme.  For at least
+    ``_fork._FORK_MIN_DRAWS`` synthetic values in all, on two CPUs or
+    more, forked processes take contiguous ranges of the replicates; the
+    report is the same.
     """
     if family not in _FIT:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -147,19 +152,27 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
     cdf = _CDF[family]
     d_obs = ks_statistic(x, lambda v: cdf(fit.params, v))
     n = x.size
-    exceed = 0
-    discarded = 0
-    for b in range(1, B + 1):
-        rep_seed = np.random.SeedSequence([int(seed), b])
-        synth = _SAMPLE[family](fit.params, n, rep_seed)
-        try:
-            refit_params = _REFIT[family](synth)[1]
-        except (DegenerateSampleError, ValueError):
-            discarded += 1
-            continue
-        d_b = _ks_distance(synth, lambda v: cdf(refit_params, v), d_obs)
-        if d_b >= d_obs:
-            exceed += 1
+
+    def counts(lo, hi):
+        exceed = discarded = 0
+        for b in range(lo, hi):
+            rep_seed = np.random.SeedSequence([int(seed), b])
+            synth = _SAMPLE[family](fit.params, n, rep_seed)
+            try:
+                refit_params = _REFIT[family](synth)[1]
+            except (DegenerateSampleError, ValueError):
+                discarded += 1
+                continue
+            d_b = _ks_distance(synth, lambda v: cdf(refit_params, v), d_obs)
+            if d_b >= d_obs:
+                exceed += 1
+        return exceed, discarded
+
+    # one contiguous range of replicates per process; only integer
+    # counts come back, so the split cannot change the report
+    parts = min(B, _fork.processes(B * n))
+    exceed, discarded = map(sum, zip(*_fork.split(
+        counts, [1 + B * i // parts for i in range(parts + 1)])))
     return GofReport(fit=fit, ks_stat=d_obs, p_value=exceed / B,
                      bootstrap_count=B, exceed_count=exceed,
                      discarded_replicates=discarded)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from bmnet import cli
+from bmnet import cli, topology
 from bmnet.config import config_to_text, parse_config_text
 from bmnet.errors import ConfigError, PositivityError
 
@@ -202,6 +202,50 @@ class TestEvolveCommand:
                          "--out", str(tmp_path / "x")]) == 2
 
 
+class TestMalformedValues:
+    """Values that no run can use exit 2 before anything is built."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("seed = 42", "seed = -1"),
+        ("seed = 42", "seed = 18446744073709551616"),
+        ("sigma2 = 0.05", "sigma2 = nan"),
+        ("J = 0.1", "J = nan"),
+        ("J = 0.1", "J = inf"),
+        ("J = 0.1", "J = -0.1"),
+        ("J = 0.1\n\n[dynamics]\nkind = meanfield",
+         "J = 0\n\n[dynamics]\nkind = eft\ngamma_eft = 0.5"),
+        ("t_end = 1", "t_end = inf"),
+        ("dt = 0.01", "dt = nan"),
+        ("snapshot_times = 0, 0.5, 1", "snapshot_times = 0, inf"),
+        ("seed = 42", "seed = 42\ninit = gaussian:nan"),
+        ("seed = 42", "seed = 42\ninit = gaussian:wide"),
+    ], ids=["seed-negative", "seed-2**64", "sigma2-nan", "J-nan", "J-inf",
+            "J-negative", "eft-J-0", "t_end-inf", "dt-nan",
+            "snapshot-inf", "init-sd-nan", "init-sd-text"])
+    def test_evolve_exits_2(self, tmp_path, monkeypatch, old, new):
+        assert old in MINIMAL
+        # a smallworld config would build its graph from the seed
+        text = MINIMAL.replace(old, new).replace(
+            "kind = meanfield", "kind = smallworld\np_sw = 0.1")
+        monkeypatch.setattr(topology, "build_random_smallworld", None)
+        assert cli.main(["evolve", "--config", write_config(tmp_path, text),
+                         "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_option_exits_2(self, tmp_path):
+        assert cli.main(["evolve", "--config", write_config(tmp_path),
+                         "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_extreme_seeds_run(self, tmp_path, seed):
+        text = MINIMAL.replace("kind = meanfield",
+                               "kind = smallworld\np_sw = 0.1")
+        out = tmp_path / "out"
+        assert cli.main(["evolve", "--config", write_config(tmp_path, text),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        assert len((out / "evolution.csv").read_text().splitlines()) == 4
+
+
 class TestThetaCommand:
     def test_table_contents(self, tmp_path):
         out = tmp_path / "th"
@@ -231,6 +275,12 @@ class TestThetaCommand:
 
     def test_bad_params_exit_2(self, tmp_path):
         assert cli.main(["theta", "--J", "-1",
+                         "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--J", "nan"), ("--J", "inf"), ("--sigma2", "nan")])
+    def test_non_finite_params_exit_2(self, tmp_path, option, value):
+        assert cli.main(["theta", option, value,
                          "--out", str(tmp_path / "x")]) == 2
 
 

@@ -50,10 +50,16 @@ class ReadOnlyMeanField(MeanFieldDynamics):
         return _read_only(super().jacobian_apply(w, v, params))
 
 
+def one_step(gen, step, n, dt, with_dz=False):
+    """The increments of one step from ``gen``, as arrays of shape (n,)."""
+    db, dz = step_noise(gen, step, dt,
+                        np.empty((1, 2, n) if with_dz else (1, n)))
+    return db[0], None if dz is None else dz[0]
+
+
 def noise(seed, step, n, dt, with_dz=False):
     """The increments of one step, from a new generator for the seed."""
-    return step_noise(engine.NoiseGenerator(seed), step, n, dt,
-                      with_dz=with_dz)
+    return one_step(engine.NoiseGenerator(seed), step, n, dt, with_dz)
 
 
 def philox_noise(seed, step, n, dt, with_dz):
@@ -487,7 +493,7 @@ class TestNoiseStreams:
         db_all, dz_all = [], []
         gen = engine.NoiseGenerator(9)
         for step in range(400):
-            db, dz = step_noise(gen, step, 256, dt, with_dz=True)
+            db, dz = one_step(gen, step, 256, dt, with_dz=True)
             db_all.append(db)
             dz_all.append(dz)
         db = np.concatenate(db_all)
@@ -524,14 +530,14 @@ class TestNoiseStreams:
         # what a fresh one at (seed, step) gives, with or without dZ
         gen = engine.NoiseGenerator(seed)
         for step, with_dz in draws:
-            db, dz = step_noise(gen, step, n, 0.01, with_dz=with_dz)
+            db, dz = one_step(gen, step, n, 0.01, with_dz)
             db_f, dz_f = philox_noise(seed, step, n, 0.01, with_dz)
             assert np.array_equal(db, db_f)
             if with_dz:
                 assert np.array_equal(dz, dz_f)
             else:
                 assert dz is None and dz_f is None
-            db_o, _ = step_noise(gen, step, n, 0.01, with_dz=not with_dz)
+            db_o, _ = one_step(gen, step, n, 0.01, not with_dz)
             assert np.array_equal(db_o, db)
 
 
@@ -544,9 +550,9 @@ class TestNoiseBlocks:
     @settings(max_examples=40, deadline=None)
     def test_block_rows_equal_single_steps(self, seed, step, steps, n,
                                            with_dz):
-        db, dz = step_noise(engine.NoiseGenerator(seed), step, n, 0.01,
-                            with_dz=with_dz, steps=steps)
-        assert db.shape == (steps, n)
+        z = np.empty((steps, 2, n) if with_dz else (steps, n))
+        db, dz = step_noise(engine.NoiseGenerator(seed), step, 0.01, z)
+        assert db.shape == (steps, n) and np.shares_memory(db, z)
         assert (dz is None) == (not with_dz)
         for j in range(steps):
             db_j, dz_j = philox_noise(seed, step + j, n, 0.01, with_dz)
@@ -808,7 +814,8 @@ class TestStepSeams:
         cfg = _mf_config(scheme=scheme, t_end=0.5, snapshot_times=(0.5,))
         simulate(cfg)
         other = "taylor15_step" if scheme == "milstein" else "milstein_step"
-        blocks = [(a[1], kw["steps"]) for a, kw in calls["step_noise"]]
+        # positional arguments: (gen, step, dt, z), z of K rows
+        blocks = [(a[1], a[3].shape[0]) for a, _ in calls["step_noise"]]
         assert blocks == [(k, 7) for k in range(0, 49, 7)] + [(49, 1)]
         assert cfg.n_steps == 50
         assert len(calls[f"{scheme}_step"]) == cfg.n_steps
