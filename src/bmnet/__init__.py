@@ -10,8 +10,7 @@ from .engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
 from .errors import ConfigError, DegenerateSampleError, PositivityError
 from .fitting import FitReport, fit_giga, fit_iga, fit_lognormal
 from .gof import GofReport, compare_families, ks_pvalue_bootstrap, ks_statistic
-from .topology import (NetworkTopology, build_complete, build_random_smallworld,
-                       build_regular_ring)
+from .topology import build_complete, build_random_smallworld, build_regular_ring
 
 __all__ = [
     "GIGaParams", "LNParams", "giga_cdf", "giga_logpdf", "giga_sample",
@@ -21,6 +20,5 @@ __all__ = [
     "ConfigError", "DegenerateSampleError", "PositivityError",
     "FitReport", "fit_giga", "fit_iga", "fit_lognormal",
     "GofReport", "compare_families", "ks_pvalue_bootstrap", "ks_statistic",
-    "NetworkTopology", "build_complete", "build_random_smallworld",
-    "build_regular_ring",
+    "build_complete", "build_random_smallworld", "build_regular_ring",
 ]

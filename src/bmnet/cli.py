@@ -43,7 +43,10 @@ _HISTOGRAM_BINS = 50
 # 6: the Milstein step sums w m + dt f with a per-step noise factor m, so
 # Milstein runs change in about the 15th digit; Taylor runs do not.  The
 # reproduce manifest lists each run with its label, config and outputs.
-FORMAT_VERSION = 6
+# 7: the complete graph applies the mean-field law J (wbar - w), so its
+# runs change in about the 15th digit and equal mean-field runs of the
+# same seed; no other run changes.
+FORMAT_VERSION = 7
 
 EVOLUTION_HEADER = ("t,family,alpha,beta,gamma,mu,s,gamma_hat,"
                     "alpha_gamma_hat,loglik,ks_stat,p_value,converged")

@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import engine, topology
-from .engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
-                     NetworkDynamics, SimConfig)
+from .engine import EFTDynamics, MeanFieldDynamics, ModelParams, SimConfig
 from .errors import ConfigError
 from .gof import DEFAULT_BOOTSTRAP_B, FAMILIES
 
@@ -180,18 +179,16 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
 
     try:
         if kind == "complete":
-            dynamics = NetworkDynamics(topology.build_complete(n_agents))
+            dynamics = topology.build_complete(n_agents)
         elif kind == "ring":
             z = _get(sections, "dynamics", "z", _finite)
             n = z * n_agents
             if abs(n - round(n)) > 1e-9:
                 raise ConfigError(f"z*N = {n} is not an integer ring degree")
-            dynamics = NetworkDynamics(
-                topology.build_regular_ring(n_agents, int(round(n))))
+            dynamics = topology.build_regular_ring(n_agents, int(round(n)))
         elif kind == "smallworld":
             p_sw = _get(sections, "dynamics", "p_sw", _finite)
-            dynamics = NetworkDynamics(
-                topology.build_random_smallworld(n_agents, p_sw, seed))
+            dynamics = topology.build_random_smallworld(n_agents, p_sw, seed)
         elif kind == "meanfield":
             dynamics = MeanFieldDynamics()
         else:

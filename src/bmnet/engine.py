@@ -12,9 +12,12 @@ exp(sigma^2 t) growth of the raw wealth: W_i = w_i exp(sigma^2 t).
 
 Each dynamics class holds the one implementation of its drift, and of
 its Jacobian product and curvature term sigma^2 w^2 f'' for the order
-1.5 scheme.  Both strong integrators for diagonal noise, Milstein (order
-1.0) and the order 1.5 strong Taylor scheme, take the dynamics and share
-one loop.
+1.5 scheme.  The complete graph and the mean-field limit share one
+function for their common law.  A network dynamics holds its own graph:
+the builders of :mod:`bmnet.topology` return it, and this module needs
+nothing from that one.  Both strong integrators for diagonal noise,
+Milstein (order 1.0) and the order 1.5 strong Taylor scheme, take the
+dynamics and share one loop.
 
 Noise is counter-based: the Gaussian increments of step k come from a
 Philox stream keyed by the run seed with the step index in the counter,
@@ -38,12 +41,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _fork
 from .distributions import theta_of_gamma
 from .errors import PositivityError
-from .topology import COMPLETE, REGULAR_RING, NetworkTopology
 
 MILSTEIN = "milstein"
 TAYLOR15 = "taylor15"
@@ -162,45 +163,58 @@ def _increments(z: np.ndarray) -> tuple:
     return (z[:, 0], z[:, 1]) if z.ndim == 3 else (z, None)
 
 
-class NetworkDynamics:
-    """Pairwise exchange on a fixed topology.
+# graph kinds of NetworkDynamics, which bmnet.topology builds
+COMPLETE, REGULAR_RING, RANDOM_SMALLWORLD = (
+    "complete", "regular_ring", "random_smallworld")
+_NO_ENTRIES = np.empty(0, dtype=np.int32)
+_NO_ENTRIES.setflags(write=False)
 
-    The drift, and the Jacobian contractions of the order-1.5 scheme,
-    are one linear coupling operator applied to different vectors.  The
-    complete graph and the ring lattice apply it in closed form in O(N)
-    (ensemble sum; circulant sliding-window sum) from (N, n) alone.  Only
-    the small-world graph, which has no such structure, holds a sparse
-    matrix, the graph Laplacian L = A - D, and pays one sparse matvec
-    and one in-place scale per apply.  L is built on the topology's own
-    index arrays: each row's last slot, the agent itself, holds -deg_i.
-    The slot comes after the neighbors, so (L v)_i sums the neighbors in
-    order and then adds -deg_i v_i, which is A v - deg v bit for bit.
+
+def _mean_field_coupling(v: np.ndarray, J: float) -> np.ndarray:
+    """J (vbar - v), the mean-field law, which the complete graph obeys."""
+    return J * (v.mean() - v)
+
+
+class NetworkDynamics:
+    """Pairwise exchange on a fixed graph, as the builders of
+    :mod:`bmnet.topology` return it.
+
+    ``N`` agents; ``graph`` is ``complete``, ``regular_ring`` or
+    ``random_smallworld``; ``n_divisor`` is the n in J_ij = J/n, for the
+    small-world graph its expected degree p_sw N, not a realized one.
+    ``indptr``, ``indices`` and ``degrees`` are the small-world graph's
+    CSR index arrays and realized degrees, and empty for the others.
+
+    The drift and the Jacobian products of the order-1.5 scheme are one
+    linear coupling operator, picked here once.  The complete graph
+    applies the mean-field law and the ring lattice a circulant window
+    sum from (N, n), both in O(N) and with no adjacency.  The small-world
+    graph applies the graph Laplacian L = A - D that its builder hands
+    over, as one sparse matvec and one in-place scale.
     """
 
     kind = "network"
 
-    def __init__(self, topology: NetworkTopology):
-        self.topology = topology
-        self._laplacian = None
-        if topology.kind not in (COMPLETE, REGULAR_RING):
-            n = topology.N
-            data = np.ones(topology.indices.size)
-            data[topology.indptr[1:] - 1] = -topology.degrees
-            # the index arrays have scipy's index dtype, so no copy is made
-            self._laplacian = sp.csr_matrix(
-                (data, topology.indices, topology.indptr), shape=(n, n))
+    def __init__(self, N: int, graph: str, n_divisor: float,
+                 laplacian=None, degrees: np.ndarray = _NO_ENTRIES):
+        self.N, self.graph, self.n_divisor = N, graph, n_divisor
+        self.degrees = degrees
+        self.indptr = self.indices = _NO_ENTRIES
+        if graph == COMPLETE:
+            self._apply = _mean_field_coupling
+        elif graph == REGULAR_RING:
+            self._apply = self._ring_coupling
+        else:
+            self._laplacian = laplacian
+            self.indptr, self.indices = laplacian.indptr, laplacian.indices
+            self._apply = self._laplacian_coupling
 
-    def _apply(self, v: np.ndarray, J: float) -> np.ndarray:
-        top = self.topology
-        if self._laplacian is not None:
-            out = self._laplacian @ v
-            return np.multiply(out, J / top.n_divisor, out)
-        if top.kind == COMPLETE:
-            return (J / top.n_divisor) * (v.sum() - top.N * v)
-        return (J / top.n_divisor) * self._ring_coupling(v)
+    def _laplacian_coupling(self, v: np.ndarray, J: float) -> np.ndarray:
+        out = self._laplacian @ v
+        return np.multiply(out, J / self.n_divisor, out)
 
-    def _ring_coupling(self, v: np.ndarray) -> np.ndarray:
-        """Neighbor sum minus n times the own value, on the ring lattice.
+    def _ring_coupling(self, v: np.ndarray, J: float) -> np.ndarray:
+        """(J/n) (neighbor sum - n v) on the ring lattice.
 
         Agent i's neighbors i-h ... i+h (h = n//2, i itself removed), plus
         the antipode i + N/2 for odd n, form a circulant window, so every
@@ -210,7 +224,7 @@ class NetworkDynamics:
         the prefix sums small, which keeps the drift's ensemble sum
         within rounding of zero.
         """
-        N, n = self.topology.N, int(self.topology.n_divisor)
+        N, n = self.N, int(self.n_divisor)
         h = n // 2
         u = v - v.mean()
         c = np.empty(N + 2 * h + 1)
@@ -219,7 +233,7 @@ class NetworkDynamics:
         s = c[2 * h + 1:] - c[:N] - u
         if n % 2:
             s += np.roll(u, -(N // 2))
-        return s - n * u
+        return (J / self.n_divisor) * (s - n * u)
 
     def drift(self, w: np.ndarray, params: ModelParams) -> np.ndarray:
         return self._apply(w, params.J)
@@ -240,10 +254,10 @@ class MeanFieldDynamics:
     kind = "meanfield"
 
     def drift(self, w, params: ModelParams) -> np.ndarray:
-        return params.J * (w.mean() - w)
+        return _mean_field_coupling(w, params.J)
 
     def jacobian_apply(self, w, v, params: ModelParams) -> np.ndarray:
-        return params.J * (v.mean() - v)
+        return _mean_field_coupling(v, params.J)
 
     def l0_drift(self, w, f, params: ModelParams) -> None:
         return None  # a linear drift has no curvature term
@@ -433,11 +447,10 @@ class SimConfig:
                 raise ValueError(
                     f"snapshot time {t} outside [0, t_end={self.t_end}]")
         if isinstance(self.dynamics, NetworkDynamics):
-            top = self.dynamics.topology
-            if top.N != self.N:
-                raise ValueError(
-                    f"topology N={top.N} does not match config N={self.N}")
-            if not top.n_divisor > 0:
+            if self.dynamics.N != self.N:
+                raise ValueError(f"topology N={self.dynamics.N} does not "
+                                 f"match config N={self.N}")
+            if not self.dynamics.n_divisor > 0:
                 raise ValueError(
                     "topology n_divisor must be positive for network dynamics")
         self.snapshot_steps()  # grid alignment
@@ -515,12 +528,13 @@ def _noise_blocks(gen: NoiseGenerator, dt: float, shape: tuple,
     In process, one buffer is filled again for each block.  For a run of
     at least ``_fork._FORK_MIN_DRAWS`` draws on two CPUs or more, a forked
     producer draws the blocks, in order, into a ring of shared-memory
-    slots while this process steps.  One pipe passes it the index of each
-    free slot and another passes back each filled one.  A slot goes back
-    only when the next block is asked for, because the coefficients of a
-    Taylor block hold views of its dZ rows.  The draws are the same bits
-    either way.  If the producer ends early the parent raises
-    RuntimeError; on every exit the producer has been reaped.
+    slots while this process steps, so block i lives in slot i % n_slots.
+    Each byte on the two pipes is a credit: one lets the producer fill
+    its next slot, the other says that a block is ready.  A slot is
+    credited back only when the next block is asked for, because the
+    coefficients of a Taylor block hold views of its dZ rows.  The draws
+    are the same bits either way.  If the producer ends early the parent
+    raises RuntimeError; on every exit the producer has been reaped.
     """
     block = shape[0]
     if _fork.processes(n_steps * math.prod(shape[1:])) < 2:
@@ -535,43 +549,42 @@ def _noise_blocks(gen: NoiseGenerator, dt: float, shape: tuple,
     slots = np.frombuffer(ring).reshape((n_slots,) + shape)
     free_r, free_w = os.pipe()
     ready_r, ready_w = os.pipe()
-    # the free tokens go in before the fork, so a producer that has
+    # the first credits go in before the fork, so a producer that has
     # finished and exited never leaves the parent a broken pipe
-    os.write(free_w, bytes(range(n_slots)))
+    os.write(free_w, bytes(n_slots))
 
     def produce():
         os.close(free_w)
         os.close(ready_r)
-        for start in range(0, n_steps, block):
-            slot = os.read(free_r, 1)
-            if not slot:
+        for i, start in enumerate(range(0, n_steps, block)):
+            if not os.read(free_r, 1):
                 return  # the parent has gone
             step_noise(gen, start, dt,
-                       slots[slot[0], :min(block, n_steps - start)])
-            os.write(ready_w, slot)
+                       slots[i % n_slots, :min(block, n_steps - start)])
+            os.write(ready_w, b"\0")
 
     try:
         pid = _fork.fork(produce)
     finally:
         os.close(free_r)
         os.close(ready_w)
-    held = b""
 
     def noise(k, K):
-        nonlocal held, pid
+        nonlocal pid
+        i = k // block
         try:
             # the producer draws block i + n_slots - 1 into the slot that
             # block i - 1 held, if there is such a block
-            if held and k // block + n_slots <= n_blocks:
-                os.write(free_w, held)
-            held = os.read(ready_r, 1)
+            if 0 < i <= n_blocks - n_slots:
+                os.write(free_w, b"\0")
+            ready = os.read(ready_r, 1)
         except BrokenPipeError:
-            held = b""
-        if not held:
+            ready = b""
+        if not ready:
             code, pid = _fork.reap(pid), None
             raise RuntimeError(f"noise producer exited with status {code} "
                                f"before step {k}")
-        return _increments(slots[held[0], :K])
+        return _increments(slots[i % n_slots, :K])
 
     failed = True
     try:

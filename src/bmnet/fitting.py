@@ -139,15 +139,16 @@ def _newton_shape(s: float, k: float):
 
 
 def _newton_shape_array(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`_newton_shape`; each element stops on its own."""
+    """Element-wise :func:`_newton_shape`; each element stops on its own,
+    and each step evaluates only the elements that still move."""
     u = np.log(k)
-    active = np.ones(u.shape, dtype=bool)
+    active = np.arange(u.size)
     for _ in range(_NEWTON_MAX_STEPS):
-        k = np.exp(u)
-        du = (u - digamma(k) - s) / (1.0 - k * zeta(2.0, k))
-        u = np.where(active, u - du, u)
-        active &= np.abs(du) > _NEWTON_RTOL
-        if not active.any():
+        k = np.exp(u[active])
+        du = (u[active] - digamma(k) - s[active]) / (1.0 - k * zeta(2.0, k))
+        u[active] -= du
+        active = active[np.abs(du) > _NEWTON_RTOL]
+        if not active.size:
             break
     return np.exp(u)
 

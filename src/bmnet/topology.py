@@ -1,78 +1,38 @@
-"""Agent network topologies and the per-edge coupling convention.
+"""Builders of the agent networks and the per-edge coupling convention.
 
-Three undirected topologies are supported: the complete graph, a regular
+Three undirected networks are supported: the complete graph, a regular
 ring lattice, and a random small-world graph where every pair of agents
-is linked independently with a fixed probability.  Each topology carries
-the divisor ``n`` that defines the pairwise coupling J_ij = J / n.
+is linked independently with a fixed probability.  Each builder returns
+the :class:`~bmnet.engine.NetworkDynamics` of its graph, with the
+divisor ``n`` that defines the pairwise coupling J_ij = J / n.
 
-A topology stores only what the coupling operator reads.  The complete
-graph and the ring lattice follow from (N, n) alone, and the engine
-applies them in closed form, so they store no adjacency.  The
-small-world graph stores its adjacency once, in compressed (CSR) form
-with scipy's index dtype, so the engine's sparse matrix shares these
-arrays instead of copying them.  Each row holds the agent's sorted
-neighbors and then one more entry, the agent itself: the engine keeps
--degree in that slot and applies the coupling as one sparse product.  A
+Only the small-world graph stores an adjacency: its graph Laplacian
+L = A - D, once, in CSR form with scipy's index dtype.  Each row holds
+the agent's sorted neighbors and then the agent itself, whose slot holds
+-degree, so one sparse product sums the neighbors in order and then adds
+-deg_i v_i.  No other module of the package knows this layout.  A
 realization replays from (N, p_sw, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import os
 
 import numpy as np
 import scipy.sparse as sp
 
-COMPLETE = "complete"
-REGULAR_RING = "regular_ring"
-RANDOM_SMALLWORLD = "random_smallworld"
+from .engine import COMPLETE, RANDOM_SMALLWORLD, REGULAR_RING, NetworkDynamics
 
 
-def _no_entries() -> np.ndarray:
-    return np.empty(0, dtype=np.int32)
-
-
-@dataclass(frozen=True)
-class NetworkTopology:
-    """Immutable undirected agent network.
-
-    Attributes
-    ----------
-    N : number of agents.
-    kind : one of ``complete``, ``regular_ring``, ``random_smallworld``.
-    n_divisor : the n in J_ij = J/n.  For the small-world graph this is
-        the *expected* degree p_sw * N, not any realized degree.
-    indptr, indices : CSR rows of the small-world graph;
-        ``indices[indptr[i]:indptr[i+1] - 1]`` is the sorted neighbor
-        list of agent i, and ``indices[indptr[i+1] - 1]`` is i itself, the
-        degree slot.  Empty for the complete graph and the ring lattice,
-        which store no entries.
-    """
-
-    N: int
-    kind: str
-    n_divisor: float
-    indptr: np.ndarray = field(default_factory=_no_entries, repr=False)
-    indices: np.ndarray = field(default_factory=_no_entries, repr=False)
-
-    def __post_init__(self):
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Realized degree of each agent of the small-world graph."""
-        return np.diff(self.indptr) - 1
-
-
-def build_complete(N: int) -> NetworkTopology:
+def build_complete(N: int) -> NetworkDynamics:
     """Complete graph on N agents; coupling divisor N."""
     if N < 2:
         raise ValueError(f"complete network needs N >= 2, got {N}")
-    return NetworkTopology(N=int(N), kind=COMPLETE, n_divisor=float(N))
+    return NetworkDynamics(int(N), COMPLETE, float(N))
 
 
-def build_regular_ring(N: int, n: int) -> NetworkTopology:
+def build_regular_ring(N: int, n: int) -> NetworkDynamics:
     """Ring lattice where every agent has exactly n neighbors.
 
     Even n links agent i to i+-1 ... i+-n/2 (mod N).  Odd n links
@@ -85,22 +45,40 @@ def build_regular_ring(N: int, n: int) -> NetworkTopology:
         raise ValueError(f"ring degree must satisfy 1 <= n <= N-1, got n={n}")
     if n % 2 == 1 and N % 2 == 1:
         raise ValueError(f"odd ring degree n={n} requires even N, got N={N}")
-    return NetworkTopology(N=int(N), kind=REGULAR_RING, n_divisor=float(n))
+    return NetworkDynamics(int(N), REGULAR_RING, float(n))
 
 
-def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkTopology:
+def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkDynamics:
     """Random graph: each unordered pair linked independently with p_sw.
 
     A pure function of (N, p_sw, seed): identical inputs give identical
     edge sets.  The coupling divisor is the expected degree p_sw * N,
     regardless of realized degrees.  Isolated agents are permitted; they
     evolve under pure noise downstream; their rows hold only the
-    degree slot.
+    degree slot.  A graph whose build would not fit in physical memory
+    is refused with ValueError before anything is drawn.
     """
     if N < 2:
         raise ValueError(f"small-world network needs N >= 2, got {N}")
     if not 0.0 <= p_sw <= 1.0:
         raise ValueError(f"p_sw must lie in [0, 1], got {p_sw}")
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        memory = math.inf
+    # at its peak, placing the lower neighbors, the build holds per pair
+    # two entries of indices, one of dst, src, k and lower_row, and two
+    # of pos (the old array and the new one), all of the index dtype,
+    # plus argsort's int64 order and half as many int64 of its stable
+    # sort's buffer: 44 bytes a pair with int32 indices, as tracemalloc
+    # measured at N = 4000, p_sw = 0.5
+    pairs = p_sw * N * (N - 1) / 2
+    word = np.dtype(sp.get_index_dtype(maxval=int(2 * pairs + N))).itemsize
+    need = pairs * (8 * word + 12)
+    if need > memory:
+        raise ValueError(f"small-world graph with N={N}, p_sw={p_sw} needs "
+                         f"about {need / 2 ** 30:.3g} GiB to build, more "
+                         f"than the {memory / 2 ** 30:.3g} GiB of memory")
     rng = np.random.default_rng(seed)
     # pairs i < j in row-major order: row i's upper neighbors, ascending
     upper = [np.flatnonzero(rng.random(N - 1 - i) < p_sw) + (i + 1)
@@ -113,8 +91,9 @@ def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkTopology:
     agents = np.arange(N, dtype=dtype)
     src = np.repeat(agents, n_upper)
     n_lower = np.bincount(dst, minlength=N)
+    degrees = n_lower + n_upper
     indptr = np.zeros(N + 1, dtype=dtype)
-    np.cumsum(n_lower + n_upper + 1, out=indptr[1:])
+    np.cumsum(degrees + 1, out=indptr[1:])
     # row i lists its lower neighbors, then its upper ones, then i.  Pair
     # k goes to row src[k] after all lower entries up to that row and the
     # src[k] earlier degree slots, and the stable sort by dst lists row
@@ -132,7 +111,14 @@ def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkTopology:
     pos += k
     pos += lower_row
     indices[pos] = src[order]
-    indices[indptr[1:] - 1] = agents
-    return NetworkTopology(N=int(N), kind=RANDOM_SMALLWORLD,
-                           n_divisor=float(p_sw * N),
-                           indptr=indptr, indices=indices)
+    del dst, src, k, pos, order, lower_row  # before the weights exist
+    slots = indptr[1:] - 1
+    indices[slots] = agents
+    for a in (indptr, indices, degrees):
+        a.setflags(write=False)
+    data = np.ones(indices.size)
+    data[slots] = -degrees
+    # the index arrays have scipy's index dtype, so no copy is made
+    laplacian = sp.csr_matrix((data, indices, indptr), shape=(N, N))
+    return NetworkDynamics(int(N), RANDOM_SMALLWORLD, float(p_sw * N),
+                           laplacian, degrees)

@@ -30,8 +30,7 @@ from scipy.special import ndtr
 from bmnet.distributions import (GIGaParams, LNParams, giga_cdf, giga_sample,
                                  ln_sample, stationary_giga, theta_of_gamma)
 from bmnet.engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
-                          NetworkDynamics, SimConfig, simulate,
-                          strong_convergence_study)
+                          SimConfig, simulate, strong_convergence_study)
 from bmnet.fitting import fit_giga
 from bmnet.gof import compare_families, ks_pvalue_bootstrap, ks_statistic
 from bmnet.topology import (build_complete, build_random_smallworld,
@@ -57,7 +56,7 @@ def meanfield_runs():
     runs = []
     for seed in (101, 102, 103, 104, 105):
         cfg = SimConfig(params=BASE_PARAMS,
-                        dynamics=NetworkDynamics(build_complete(1000)),
+                        dynamics=build_complete(1000),
                         scheme="milstein", N=1000, dt=0.01, t_end=200.0,
                         snapshot_times=times, seed=seed)
         runs.append(simulate(cfg))
@@ -74,7 +73,7 @@ def rann_trajectory():
     """
     n_agents = 10_000
     top = build_random_smallworld(n_agents, 0.003, seed=71)
-    cfg = SimConfig(params=BASE_PARAMS, dynamics=NetworkDynamics(top),
+    cfg = SimConfig(params=BASE_PARAMS, dynamics=top,
                     scheme="milstein", N=n_agents, dt=0.01, t_end=500.0,
                     snapshot_times=EQUILIBRATION_TIMES, seed=71)
     snaps = simulate(cfg)
@@ -87,7 +86,7 @@ def regn_trajectory():
     """Ring run at the same mean degree (z=0.003, n=30, N=1e4)."""
     n_agents = 10_000
     top = build_regular_ring(n_agents, 30)
-    cfg = SimConfig(params=BASE_PARAMS, dynamics=NetworkDynamics(top),
+    cfg = SimConfig(params=BASE_PARAMS, dynamics=top,
                     scheme="taylor15", N=n_agents, dt=0.01, t_end=500.0,
                     snapshot_times=EQUILIBRATION_TIMES, seed=71)
     snaps = simulate(cfg)
@@ -275,7 +274,7 @@ def test_criterion_08_eft_stationary_match():
 
 def test_criterion_09a_short_time_ring_prefers_lognormal():
     top = build_regular_ring(1000, 10)  # z = 0.01
-    cfg = SimConfig(params=BASE_PARAMS, dynamics=NetworkDynamics(top),
+    cfg = SimConfig(params=BASE_PARAMS, dynamics=top,
                     scheme="taylor15", N=1000, dt=0.01, t_end=1.0,
                     snapshot_times=(1.0,), seed=1)
     w = simulate(cfg)[0].w
@@ -359,7 +358,7 @@ def test_criterion_11a_drift_conservation():
             if top.n_divisor == 0:
                 continue
         w = rng.gamma(2.0, 1.0, top.N) + 1e-4
-        f = NetworkDynamics(top).drift(w, params)
+        f = top.drift(w, params)
         bound = top.N * np.finfo(float).eps * np.abs(w).max()
         worst = max(worst, abs(f.sum()) / bound)
         assert abs(f.sum()) <= bound

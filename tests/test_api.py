@@ -12,7 +12,7 @@ from bmnet import engine
 PUBLIC = [
     "ConfigError", "DegenerateSampleError", "EFTDynamics", "FitReport",
     "GIGaParams", "GofReport", "LNParams", "MeanFieldDynamics",
-    "ModelParams", "NetworkDynamics", "NetworkTopology", "PositivityError",
+    "ModelParams", "NetworkDynamics", "PositivityError",
     "SimConfig", "build_complete", "build_random_smallworld",
     "build_regular_ring", "compare_families", "fit_giga", "fit_iga",
     "fit_lognormal", "giga_cdf", "giga_logpdf", "giga_sample",

@@ -3,13 +3,17 @@
 import json
 import math
 import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bmnet import cli, topology
-from bmnet.config import config_to_text, parse_config_text
+from bmnet.config import config_to_text, load_config, parse_config_text
 from bmnet.errors import ConfigError, PositivityError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """\
 [model]
@@ -60,15 +64,15 @@ class TestConfigParsing:
         text = MINIMAL.replace("kind = meanfield", "kind = ring\nz = 0.04")
         cfg = parse_config_text(text)
         assert cfg.sim.scheme == "taylor15"
-        assert cfg.sim.dynamics.topology.n_divisor == 4
+        assert cfg.sim.dynamics.n_divisor == 4
 
     def test_smallworld_seed_is_run_seed(self):
         text = MINIMAL.replace("kind = meanfield",
                                "kind = smallworld\np_sw = 0.1")
         a = parse_config_text(text)
         b = parse_config_text(text.replace("seed = 42", "seed = 43"))
-        assert not np.array_equal(a.sim.dynamics.topology.indices,
-                                  b.sim.dynamics.topology.indices)
+        assert not np.array_equal(a.sim.dynamics.indices,
+                                  b.sim.dynamics.indices)
 
     def test_eft_kind(self):
         text = MINIMAL.replace("kind = meanfield",
@@ -153,6 +157,23 @@ class TestSimulateCommand:
         for name in manifest["outputs"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
+    def test_complete_graph_writes_the_mean_field_snapshots(self, tmp_path,
+                                                           scheme):
+        # one law: the complete graph applies the mean-field coupling
+        snapshots = {}
+        for kind in ("meanfield", "complete"):
+            text = MINIMAL.replace("kind = meanfield", f"kind = {kind}")
+            text = text.replace("seed = 42", f"seed = 42\nscheme = {scheme}")
+            path = write_config(tmp_path, text, f"{kind}.ini")
+            out = tmp_path / kind
+            assert cli.main(["simulate", "--config", path,
+                             "--out", str(out)]) == 0
+            snapshots[kind] = {p.name: p.read_bytes()
+                               for p in out.glob("snapshot_*.csv")}
+        assert len(snapshots["complete"]) == 3
+        assert snapshots["complete"] == snapshots["meanfield"]
+
     def test_invalid_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, MINIMAL.replace("fit_times = 1",
                                                       "fit_times = 0.3"))
@@ -231,6 +252,25 @@ class TestMalformedValues:
         assert cli.main(["evolve", "--config", write_config(tmp_path, text),
                          "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
+
+    def test_oversize_smallworld_exits_2_at_once(self, tmp_path, capsys):
+        # about 2.5e13 expected pairs: more memory than any machine has,
+        # refused from the expected size before a pair is drawn
+        text = MINIMAL.replace("N = 100", "N = 10000000").replace(
+            "kind = meanfield", "kind = smallworld\np_sw = 0.5")
+        start = time.perf_counter()
+        assert cli.main(["evolve", "--config", write_config(tmp_path, text),
+                         "--out", str(tmp_path / "x")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "GiB of memory" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_benchmark_smallworld_config_builds(self):
+        # the memory check leaves the benchmark's small-world graph alone
+        cfg = load_config(ROOT / "benchmark" / "workloads"
+                          / "smallworld-n1000.ini")
+        assert cfg.sim.dynamics.N == 1000
+        assert cfg.sim.dynamics.indices.size > 1000
 
     def test_negative_seed_option_exits_2(self, tmp_path):
         assert cli.main(["evolve", "--config", write_config(tmp_path),

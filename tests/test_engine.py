@@ -13,8 +13,8 @@ from scipy.special import ndtr
 from bmnet import engine
 from bmnet.distributions import theta_of_gamma
 from bmnet.engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
-                          NetworkDynamics, SimConfig, milstein_step, simulate,
-                          step_noise, strong_convergence_study, taylor15_step)
+                          SimConfig, milstein_step, simulate, step_noise,
+                          strong_convergence_study, taylor15_step)
 from bmnet.errors import PositivityError
 from bmnet.gof import ks_statistic
 from bmnet.topology import (build_complete, build_random_smallworld,
@@ -90,7 +90,7 @@ def taylor15(w, t, dyn, params, dt, db, dz):
 
 
 def network_drift(w, top):
-    return NetworkDynamics(top).drift(np.asarray(w, dtype=float), BASE_PARAMS)
+    return top.drift(np.asarray(w, dtype=float), BASE_PARAMS)
 
 
 class TestInteractionDrift:
@@ -136,7 +136,7 @@ class TestInteractionDrift:
             if top.n_divisor == 0:
                 return
         size = n if kind != 1 else 2 * n
-        dyn = MeanFieldDynamics() if kind == 3 else NetworkDynamics(top)
+        dyn = MeanFieldDynamics() if kind == 3 else top
         w = rng.gamma(3.0, 0.4, size) + 1e-3
         v = rng.normal(size=size)
         eps = size * np.finfo(float).eps
@@ -149,7 +149,7 @@ class TestInteractionDrift:
         # a vector whose size is not N must raise, never be read past its
         # end or broadcast, in every apply of the operator and in both
         # steps (l0_drift applies none: a linear drift has no curvature)
-        dyn = NetworkDynamics(build_random_smallworld(300, 0.03, seed=1))
+        dyn = build_random_smallworld(300, 0.03, seed=1)
         v = np.ones(size)
         for apply in (lambda: dyn.drift(v, BASE_PARAMS),
                       lambda: dyn.jacobian_apply(np.ones(300), v, BASE_PARAMS),
@@ -197,21 +197,21 @@ class TestRingOperator:
         explicit = np.array([
             (0.1 / n) * np.sum(w[naive_ring_neighbors(N, n, i)] - w[i])
             for i in range(N)])
-        f = NetworkDynamics(build_regular_ring(N, n)).drift(w, BASE_PARAMS)
+        f = build_regular_ring(N, n).drift(w, BASE_PARAMS)
         assert np.abs(f - explicit).max() <= 1e-12 * np.abs(explicit).max()
 
     @pytest.mark.parametrize("N, n", RING_CASES)
     def test_conserves_wealth(self, N, n):
         rng = np.random.default_rng(7 * N + n)
         w = rng.gamma(2.0, 1.0, N) + 1e-4
-        f = NetworkDynamics(build_regular_ring(N, n)).drift(w, BASE_PARAMS)
+        f = build_regular_ring(N, n).drift(w, BASE_PARAMS)
         assert abs(f.sum()) <= N * np.finfo(float).eps * np.abs(w).max()
 
     def test_ring_holds_no_sparse_matrix(self):
-        ring = NetworkDynamics(build_regular_ring(1000, 10))
+        ring = build_regular_ring(1000, 10)
         assert not any(sp.issparse(v) for v in vars(ring).values())
         # the small-world graph has no closed form and keeps its matrix
-        sw = NetworkDynamics(build_random_smallworld(100, 0.1, seed=1))
+        sw = build_random_smallworld(100, 0.1, seed=1)
         assert any(sp.issparse(v) for v in vars(sw).values())
 
 
@@ -349,8 +349,7 @@ class TestTaylor15Step:
 
     def test_network_jacobian_contraction(self):
         # finite differences confirm the analytic Jacobian product
-        top = build_regular_ring(10, 4)
-        dyn = NetworkDynamics(top)
+        dyn = build_regular_ring(10, 4)
         rng = np.random.default_rng(3)
         w = rng.gamma(3.0, 0.4, 10)
         v = rng.normal(size=10)
@@ -387,12 +386,11 @@ class TestDegreeSlot:
         top = build_random_smallworld(N, p, seed)
         A = self._neighbor_matrix(top)
         deg = top.degrees.astype(float)
-        dyn = NetworkDynamics(top)
         v = np.random.default_rng(seed).normal(size=N)
-        assert np.array_equal(dyn._laplacian @ v, A @ v - deg * v)
+        assert np.array_equal(top._laplacian @ v, A @ v - deg * v)
         if top.n_divisor > 0:
             scale = BASE_PARAMS.J / top.n_divisor
-            assert np.array_equal(dyn.drift(v, BASE_PARAMS),
+            assert np.array_equal(top.drift(v, BASE_PARAMS),
                                   scale * (A @ v - deg * v))
 
     def test_isolated_agents(self):
@@ -401,7 +399,7 @@ class TestDegreeSlot:
         assert isolated.any() and not isolated.all()
         A = self._neighbor_matrix(top)
         v = np.random.default_rng(3).gamma(2.0, 1.0, 30)
-        out = NetworkDynamics(top)._laplacian @ v
+        out = top._laplacian @ v
         expected = A @ v - top.degrees * v
         assert out.tobytes() == expected.tobytes()
         assert np.all(out[isolated] == 0.0)
@@ -412,10 +410,10 @@ def _dense_adjacency(top):
     """The adjacency matrix of a topology, entry by entry."""
     N = top.N
     A = np.zeros((N, N))
-    if top.kind == "complete":
+    if top.graph == "complete":
         A[:] = 1.0
         np.fill_diagonal(A, 0.0)
-    elif top.kind == "regular_ring":
+    elif top.graph == "regular_ring":
         for i in range(N):
             A[i, naive_ring_neighbors(N, int(top.n_divisor), i)] = 1.0
     else:
@@ -427,11 +425,10 @@ def _dense_adjacency(top):
 
 ORACLE_PARAMS = ModelParams.from_sigma2(0.05, 0.3)
 ORACLE_CASES = {
-    "complete": lambda: NetworkDynamics(build_complete(40)),
-    "ring-even": lambda: NetworkDynamics(build_regular_ring(40, 6)),
-    "ring-odd": lambda: NetworkDynamics(build_regular_ring(40, 7)),
-    "smallworld": lambda: NetworkDynamics(
-        build_random_smallworld(60, 0.2, seed=4)),
+    "complete": lambda: build_complete(40),
+    "ring-even": lambda: build_regular_ring(40, 6),
+    "ring-odd": lambda: build_regular_ring(40, 7),
+    "smallworld": lambda: build_random_smallworld(60, 0.2, seed=4),
     "meanfield": MeanFieldDynamics,
     "eft": lambda: EFTDynamics(0.4),
 }
@@ -449,8 +446,8 @@ def _derivatives(dyn, w, params):
     if dyn.kind == "meanfield":
         jac = J * (np.full((N, N), 1.0 / N) - np.eye(N))
     else:
-        A = _dense_adjacency(dyn.topology)
-        jac = (J / dyn.topology.n_divisor) * (A - np.diag(A.sum(axis=1)))
+        A = _dense_adjacency(dyn)
+        jac = (J / dyn.n_divisor) * (A - np.diag(A.sum(axis=1)))
     return jac @ w, jac, None
 
 
@@ -577,7 +574,7 @@ class TestNoiseBlocks:
         # 50 steps: blocks of 7 end after steps 7, 14, ..., 49 and 50, so
         # the snapshots lie at block ends (0.07, 0.49, 0.5) and inside
         # blocks (0.03, 0.1); the default takes all 50 steps in one block
-        dyn = (NetworkDynamics(build_random_smallworld(100, 0.05, seed=2))
+        dyn = (build_random_smallworld(100, 0.05, seed=2)
                if dynamics == "smallworld" else EFTDynamics(0.5))
         cfg = _mf_config(scheme=scheme, dynamics=dyn, t_end=0.5,
                          snapshot_times=(0.0, 0.03, 0.07, 0.1, 0.49, 0.5))
@@ -638,13 +635,13 @@ class TestSimulate:
             simulate(_mf_config(snapshot_times=(0.005,)))
 
     def test_topology_size_mismatch_rejected(self):
-        cfg = _mf_config(dynamics=NetworkDynamics(build_complete(4)), N=5)
+        cfg = _mf_config(dynamics=build_complete(4), N=5)
         with pytest.raises(ValueError, match="does not match"):
             simulate(cfg)
 
     def test_zero_divisor_network_rejected(self):
         top = build_random_smallworld(50, 0.0, seed=2)
-        cfg = _mf_config(dynamics=NetworkDynamics(top), N=50)
+        cfg = _mf_config(dynamics=top, N=50)
         with pytest.raises(ValueError):
             simulate(cfg)
 
@@ -687,7 +684,7 @@ class TestSimulate:
 
     def test_network_run_conserves_mean_roughly(self):
         top = build_regular_ring(200, 4)
-        cfg = _mf_config(dynamics=NetworkDynamics(top), N=200, t_end=2.0,
+        cfg = _mf_config(dynamics=top, N=200, t_end=2.0,
                         snapshot_times=(0.0, 1.0, 2.0), seed=5)
         snaps = simulate(cfg)
         for snap in snaps:
@@ -743,7 +740,7 @@ def test_long_run_stays_positive():
     # 250k steps at the study parameters: positivity violations must not
     # occur at dt=0.01 (and would raise, never silently clamp)
     top = build_regular_ring(1000, 10)
-    cfg = SimConfig(params=BASE_PARAMS, dynamics=NetworkDynamics(top),
+    cfg = SimConfig(params=BASE_PARAMS, dynamics=top,
                     scheme="milstein", N=1000, dt=0.01, t_end=2500.0,
                     snapshot_times=(2500.0,), seed=19)
     w = simulate(cfg)[0].w

@@ -14,8 +14,7 @@ import pytest
 
 from bmnet import _fork, engine, gof
 from bmnet.distributions import GIGaParams, LNParams
-from bmnet.engine import (MeanFieldDynamics, ModelParams, NetworkDynamics,
-                          SimConfig, simulate)
+from bmnet.engine import MeanFieldDynamics, ModelParams, SimConfig, simulate
 from bmnet.errors import DegenerateSampleError, PositivityError
 from bmnet.gof import ks_pvalue_bootstrap
 from bmnet.topology import build_random_smallworld, build_regular_ring
@@ -47,9 +46,8 @@ class TestNoiseProducer:
     def test_forked_run_equals_in_process(self, monkeypatch, processes, forks,
                                           scheme, steps_per_block, t_end,
                                           dynamics):
-        dyn = {"smallworld": lambda: NetworkDynamics(
-                   build_random_smallworld(100, 0.05, seed=2)),
-               "ring": lambda: NetworkDynamics(build_regular_ring(100, 6)),
+        dyn = {"smallworld": lambda: build_random_smallworld(100, 0.05, seed=2),
+               "ring": lambda: build_regular_ring(100, 6),
                "meanfield": MeanFieldDynamics}[dynamics]()
         cfg = _config(scheme=scheme, dynamics=dyn, t_end=t_end,
                       snapshot_times=(0.0, 0.01, min(0.07, t_end), t_end))

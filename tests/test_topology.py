@@ -4,6 +4,8 @@ The complete graph and the ring lattice store no adjacency, so their
 graph is read back from the coupling operator that the engine applies.
 """
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from bmnet.engine import ModelParams, NetworkDynamics
+from bmnet.engine import ModelParams
 from bmnet.topology import (build_complete, build_random_smallworld,
                             build_regular_ring)
 from test_engine import naive_ring_neighbors
@@ -26,9 +28,8 @@ def applied_adjacency(top):
     the diagonal of degrees; the columns are read one drift at a time
     and must lie within rounding of integers.
     """
-    dyn = NetworkDynamics(top)
     params = ModelParams(sigma=1.0, J=top.n_divisor)
-    coupling = np.column_stack([dyn.drift(e, params) for e in np.eye(top.N)])
+    coupling = np.column_stack([top.drift(e, params) for e in np.eye(top.N)])
     rounded = np.rint(coupling)
     assert np.abs(coupling - rounded).max() < 1e-9
     adj = rounded.astype(int)
@@ -132,7 +133,7 @@ class TestRegularRing:
         explicit = np.array([
             (0.1 / n) * np.sum(w[naive_ring_neighbors(N, n, i)] - w[i])
             for i in range(N)])
-        f = NetworkDynamics(top).drift(w, BASE_PARAMS)
+        f = top.drift(w, BASE_PARAMS)
         assert np.abs(f - explicit).max() <= 1e-12 * np.abs(explicit).max()
 
     @pytest.mark.parametrize("N, n", [(3, 2), (4, 1), (4, 3), (5, 4),
@@ -150,8 +151,8 @@ class TestRegularRing:
         # the same graph; the coupling divisors are N - 1 and N
         N = 2 * half
         w = np.random.default_rng(half).gamma(2.0, 1.0, N) + 1e-4
-        ring = NetworkDynamics(build_regular_ring(N, N - 1))
-        complete = NetworkDynamics(build_complete(N))
+        ring = build_regular_ring(N, N - 1)
+        complete = build_complete(N)
         diff = (ring.drift(w, BASE_PARAMS) * (N - 1) / N
                 - complete.drift(w, BASE_PARAMS))
         assert np.abs(diff).max() <= coupling_bound(w)
@@ -167,8 +168,8 @@ class TestRandomSmallWorld:
         top = build_random_smallworld(40, 1.0, seed=1)
         assert top.n_divisor == 40
         w = np.random.default_rng(40).gamma(2.0, 1.0, 40) + 1e-4
-        diff = (NetworkDynamics(top).drift(w, BASE_PARAMS)
-                - NetworkDynamics(build_complete(40)).drift(w, BASE_PARAMS))
+        diff = (top.drift(w, BASE_PARAMS)
+                - build_complete(40).drift(w, BASE_PARAMS))
         assert np.abs(diff).max() <= coupling_bound(w)
 
     def test_expected_degree_divisor(self):
@@ -219,6 +220,13 @@ class TestRandomSmallWorld:
         assert top.indices.tolist() == [
             j for i in range(N) for j in [*np.flatnonzero(adj[i]), i]]
 
+    def test_builds_where_physical_memory_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sysconf")
+        a = build_random_smallworld(60, 0.1, seed=5)
+        monkeypatch.undo()
+        assert np.array_equal(a.indices,
+                              build_random_smallworld(60, 0.1, seed=5).indices)
+
     def test_isolated_agents_kept(self):
         top = build_random_smallworld(200, 0.005, seed=3)
         assert top.N == 200  # ensemble size is N regardless of isolation
@@ -249,6 +257,6 @@ def test_smallworld_operator_shares_index_arrays():
     # the graph is held once: the operator's matrix reads the topology's
     # own index arrays
     top = build_random_smallworld(1000, 0.01, seed=3)
-    [adj] = [v for v in vars(NetworkDynamics(top)).values() if sp.issparse(v)]
+    [adj] = [v for v in vars(top).values() if sp.issparse(v)]
     assert np.shares_memory(adj.indices, top.indices)
     assert np.shares_memory(adj.indptr, top.indptr)
