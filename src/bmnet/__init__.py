@@ -9,7 +9,7 @@ from .engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
                      strong_convergence_study)
 from .errors import ConfigError, DegenerateSampleError, PositivityError
 from .fitting import FitReport, fit_giga, fit_iga, fit_lognormal
-from .gof import GofReport, compare_families, ks_pvalue_bootstrap, ks_statistic
+from .gof import GofReport, ks_pvalue_bootstrap, ks_statistic
 from .topology import build_complete, build_random_smallworld, build_regular_ring
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "SimConfig", "simulate", "strong_convergence_study",
     "ConfigError", "DegenerateSampleError", "PositivityError",
     "FitReport", "fit_giga", "fit_iga", "fit_lognormal",
-    "GofReport", "compare_families", "ks_pvalue_bootstrap", "ks_statistic",
+    "GofReport", "ks_pvalue_bootstrap", "ks_statistic",
     "build_complete", "build_random_smallworld", "build_regular_ring",
 ]

@@ -21,8 +21,7 @@ from . import engine
 from .config import ExperimentConfig, config_to_text, load_config, parse_config_text
 from .distributions import stationary_giga, theta_of_gamma
 from .engine import simulate, strong_convergence_study
-from .errors import ConfigError, DegenerateSampleError, PositivityError
-from .fitting import FitReport
+from .errors import ConfigError, PositivityError
 from .gof import DEFAULT_BOOTSTRAP_B, GofReport, ks_pvalue_bootstrap
 
 _DEFAULT_SIGMA2 = 0.05
@@ -80,18 +79,19 @@ def write_snapshot_csv(path, snapshot) -> None:
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """One (time, family) fitting outcome for the evolution table."""
+    """One (time, family) fitting outcome for the evolution table; a
+    family whose fit failed has no report, only the error."""
 
     t: float
     family: str
-    fit: FitReport | None
     gof: GofReport | None
     error: str = ""
 
     def to_row(self) -> str:
+        fit = self.gof.fit if self.gof else None
         alpha = beta = gamma = mu = s = None
-        if self.fit is not None:
-            p = self.fit.params
+        if fit is not None:
+            p = fit.params
             if hasattr(p, "alpha"):
                 alpha, beta, gamma = p.alpha, p.beta, p.gamma
             else:
@@ -99,12 +99,12 @@ class EvolutionRecord:
         cells = [
             _fmt(self.t), self.family, _fmt(alpha), _fmt(beta), _fmt(gamma),
             _fmt(mu), _fmt(s),
-            _fmt(self.fit.gamma_hat if self.fit else None),
-            _fmt(self.fit.alpha_gamma if self.fit else None),
-            _fmt(self.fit.loglik if self.fit else None),
+            _fmt(fit.gamma_hat if fit else None),
+            _fmt(fit.alpha_gamma if fit else None),
+            _fmt(fit.loglik if fit else None),
             _fmt(self.gof.ks_stat if self.gof else None),
             _fmt(self.gof.p_value if self.gof else None),
-            "true" if (self.fit is not None and self.fit.converged) else "false",
+            "true" if (fit is not None and fit.converged) else "false",
         ]
         return ",".join(cells)
 
@@ -123,11 +123,10 @@ def evolution_records(config: ExperimentConfig, snapshots) -> list:
             try:
                 gof = ks_pvalue_bootstrap(samples, family,
                                           config.bootstrap_b, gof_seed)
-                records.append(EvolutionRecord(t=t, family=family,
-                                               fit=gof.fit, gof=gof))
-            except (DegenerateSampleError, ValueError) as exc:
-                records.append(EvolutionRecord(t=t, family=family, fit=None,
-                                               gof=None, error=str(exc)))
+                records.append(EvolutionRecord(t=t, family=family, gof=gof))
+            except ValueError as exc:  # DegenerateSampleError included
+                records.append(EvolutionRecord(t=t, family=family, gof=None,
+                                               error=str(exc)))
     return records
 
 

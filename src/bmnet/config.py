@@ -137,8 +137,14 @@ def _str_list(value: str):
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
+def parse_config_text(text: str, origin: str = "<config>",
+                      seed=None) -> ExperimentConfig:
+    """Resolve config text; a given ``seed`` replaces the ``[run]`` seed."""
     sections = _parse_sections(text, origin)
+    if seed is not None:
+        if "seed" not in sections.get("run", {}):
+            raise ConfigError("config has no [run] seed to override", origin)
+        sections["run"]["seed"] = (str(seed), sections["run"]["seed"][1])
     for required in ("model", "dynamics", "run"):
         if required not in sections:
             raise ConfigError(f"missing section [{required}]", origin)
@@ -263,27 +269,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     """Read and resolve a config file, optionally overriding the seed."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if seed_override is not None:
-        text = _override_seed(text, seed_override)
-    return parse_config_text(text, origin=str(path))
-
-
-def _override_seed(text: str, seed: int) -> str:
-    lines = []
-    in_run = False
-    replaced = False
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            in_run = stripped == "[run]"
-        elif in_run and stripped.split("=")[0].strip() == "seed":
-            lines.append(f"seed = {seed}")
-            replaced = True
-            continue
-        lines.append(raw)
-    if not replaced:
-        raise ConfigError("config has no [run] seed to override")
-    return "\n".join(lines)
+    return parse_config_text(text, origin=str(path), seed=seed_override)
 
 
 def config_to_text(config: ExperimentConfig) -> str:

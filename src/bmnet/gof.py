@@ -177,22 +177,3 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
                      bootstrap_count=B, exceed_count=exceed,
                      discarded_replicates=discarded)
 
-
-def compare_families(samples, B: int, seed, families=FAMILIES):
-    """Fit and bootstrap each family; rank by p-value, then log-likelihood.
-
-    Returns (ranked reports, failures) where failures maps a family name
-    to the error message that prevented its fit; the remaining families
-    are still ranked.
-    """
-    reports = []
-    failures = {}
-    for k, family in enumerate(families):
-        family_seed = int(np.random.SeedSequence(
-            [int(seed), 104729, k]).generate_state(1)[0])
-        try:
-            reports.append(ks_pvalue_bootstrap(samples, family, B, family_seed))
-        except (DegenerateSampleError, ValueError) as exc:
-            failures[family] = str(exc)
-    reports.sort(key=lambda r: (r.p_value, r.fit.loglik), reverse=True)
-    return reports, failures

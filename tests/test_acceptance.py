@@ -32,11 +32,12 @@ from bmnet.distributions import (GIGaParams, LNParams, giga_cdf, giga_sample,
 from bmnet.engine import (EFTDynamics, MeanFieldDynamics, ModelParams,
                           SimConfig, simulate, strong_convergence_study)
 from bmnet.fitting import fit_giga
-from bmnet.gof import compare_families, ks_pvalue_bootstrap, ks_statistic
+from bmnet.gof import ks_pvalue_bootstrap, ks_statistic
 from bmnet.topology import (build_complete, build_random_smallworld,
                             build_regular_ring)
 from oracles import to_unscaled
 from test_distributions import PARAM_GRID, quad_log_space
+from test_gof import ranked_reports
 
 BASE_PARAMS = ModelParams.from_sigma2(0.05, 0.1)
 EQUILIBRATION_TIMES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0,
@@ -78,7 +79,7 @@ def rann_trajectory():
                     snapshot_times=EQUILIBRATION_TIMES, seed=71)
     snaps = simulate(cfg)
     gammas = [float(fit_giga(s.w).params.gamma) for s in snaps]
-    return snaps, gammas
+    return snaps, gammas, cfg
 
 
 @pytest.fixture(scope="module")
@@ -277,8 +278,7 @@ def test_criterion_09a_short_time_ring_prefers_lognormal():
     cfg = SimConfig(params=BASE_PARAMS, dynamics=top,
                     scheme="taylor15", N=1000, dt=0.01, t_end=1.0,
                     snapshot_times=(1.0,), seed=1)
-    w = simulate(cfg)[0].w
-    ranked, failures = compare_families(w, B=999, seed=4202)
+    ranked, failures = ranked_reports(cfg, simulate(cfg)[0], B=999)
     assert not failures
     detail = ", ".join(f"{r.family}={r.p_value:.3f}" for r in ranked)
     report("9a", ranked[0].family == "LN", f"ring z=0.01 at t=1: {detail} "
@@ -287,10 +287,10 @@ def test_criterion_09a_short_time_ring_prefers_lognormal():
 
 
 def test_criterion_09b_stationary_smallworld_prefers_giga(rann_trajectory):
-    snaps, _ = rann_trajectory
+    snaps, _, cfg = rann_trajectory
     final = snaps[-1]
     assert final.t == 500.0
-    ranked, failures = compare_families(final.w, B=999, seed=4203)
+    ranked, failures = ranked_reports(cfg, final, B=999)
     assert not failures
     by_family = {r.family: r for r in ranked}
     detail = ", ".join(f"{r.family}={r.p_value:.4f}" for r in ranked)
@@ -325,7 +325,7 @@ def _reach_time(times, gammas, band=0.05):
 
 
 def test_criterion_10_equilibration_ordering(rann_trajectory, regn_trajectory):
-    _, ran_gammas = rann_trajectory
+    _, ran_gammas, _ = rann_trajectory
     _, reg_gammas = regn_trajectory
     times = list(EQUILIBRATION_TIMES)
     ran_reach, ran_plateau, _ = _reach_time(times, ran_gammas)

@@ -14,7 +14,7 @@ PUBLIC = [
     "GIGaParams", "GofReport", "LNParams", "MeanFieldDynamics",
     "ModelParams", "NetworkDynamics", "PositivityError",
     "SimConfig", "build_complete", "build_random_smallworld",
-    "build_regular_ring", "compare_families", "fit_giga", "fit_iga",
+    "build_regular_ring", "fit_giga", "fit_iga",
     "fit_lognormal", "giga_cdf", "giga_logpdf", "giga_sample",
     "ks_pvalue_bootstrap", "ks_statistic", "ln_cdf", "ln_logpdf",
     "ln_sample", "simulate", "stationary_giga", "strong_convergence_study",

@@ -144,6 +144,24 @@ class TestSimulateCommand:
         assert (out1 / "snapshot_t1.0.csv").read_bytes() != \
                (out2 / "snapshot_t1.0.csv").read_bytes()
 
+    def test_seed_override_with_spaced_run_header(self, tmp_path):
+        # the parser accepts "[ run ]", so --seed must find its seed too
+        spaced = write_config(tmp_path, MINIMAL.replace("[run]", "[ run ]"),
+                              "spaced.ini")
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["simulate", "--config", write_config(tmp_path),
+                         "--seed", "9", "--out", str(out1)]) == 0
+        assert cli.main(["simulate", "--config", spaced, "--seed", "9",
+                         "--out", str(out2)]) == 0
+        for name in ("snapshot_t1.0.csv", "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_seed_override_needs_a_run_seed(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL.replace("seed = 42\n", ""))
+        assert cli.main(["simulate", "--config", path, "--seed", "9",
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "no [run] seed to override" in capsys.readouterr().err
+
     def test_manifest_replay_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
         out1 = tmp_path / "a"
@@ -215,6 +233,27 @@ class TestEvolveCommand:
         assert len(lines) == 1 + 3  # one fit time x three families
         families = [line.split(",")[1] for line in lines[1:]]
         assert families == ["LN", "IGa", "GIGa"]
+
+    def test_failed_fit_leaves_empty_cells(self, tmp_path):
+        # five agents: too few for the three-parameter GIGa fit, enough
+        # for LN and IGa, whose rows are still filled
+        text = MINIMAL.replace("N = 100", "N = 5").replace(
+            "bootstrap_B = 19", "bootstrap_B = 9")
+        out = tmp_path / "out"
+        assert cli.main(["evolve", "--config", write_config(tmp_path, text),
+                         "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "evolution.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["LN", "IGa", "GIGa"]
+        header = cli.EVOLUTION_HEADER.split(",")
+        filled = {row[1]: [k for k, v in zip(header[2:-1], row[2:-1]) if v]
+                  for row in rows}
+        assert filled == {
+            "LN": ["mu", "s", "loglik", "ks_stat", "p_value"],
+            "IGa": ["alpha", "beta", "gamma", "gamma_hat", "alpha_gamma_hat",
+                    "loglik", "ks_stat", "p_value"],
+            "GIGa": []}
+        assert [row[-1] for row in rows] == ["true", "true", "false"]
 
     def test_needs_fit_section(self, tmp_path):
         text = MINIMAL.split("[fit]")[0]

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmnet import fitting, gof
+from bmnet import cli, fitting, gof
+from bmnet.config import ExperimentConfig
 from bmnet.distributions import (GIGaParams, LNParams, giga_cdf, giga_sample,
                                  ln_cdf, ln_sample)
-from bmnet.engine import MeanFieldDynamics, ModelParams, SimConfig, simulate
+from bmnet.engine import (MeanFieldDynamics, ModelParams, SimConfig, Snapshot,
+                          simulate)
 from bmnet.errors import DegenerateSampleError
 from bmnet.fitting import fit_giga
-from bmnet.gof import compare_families, ks_pvalue_bootstrap, ks_statistic
+from bmnet.gof import ks_pvalue_bootstrap, ks_statistic
 
 
 def uniform_cdf(x):
@@ -324,10 +326,36 @@ class TestBootstrap:
                 "discarded_replicates"} <= set(d)
 
 
+def ranked_reports(sim, snapshot, B):
+    """Score one snapshot through the loop that ``bmnet evolve`` runs,
+    with the bootstrap seeds it derives from the run seed, and rank the
+    families by p-value, then log-likelihood.  Returns (ranked reports,
+    error by failed family)."""
+    config = ExperimentConfig(sim=sim, families=gof.FAMILIES,
+                              fit_times=(snapshot.t,), bootstrap_b=B,
+                              sections={})
+    records = cli.evolution_records(config, [snapshot])
+    ranked = sorted((r.gof for r in records if r.gof),
+                    key=lambda g: (g.p_value, g.fit.loglik), reverse=True)
+    return ranked, {r.family: r.error for r in records if not r.gof}
+
+
+def drawn_run(x, seed):
+    """A drawn sample as the t = 0 snapshot of a run with this seed; the
+    scoring loop reads only the seed of the run."""
+    sim = SimConfig(params=ModelParams.from_sigma2(0.05, 0.1),
+                    dynamics=MeanFieldDynamics(), scheme="milstein",
+                    N=x.size, dt=0.01, t_end=0.0, snapshot_times=(0.0,),
+                    seed=seed)
+    return sim, Snapshot(t=0.0, w=x)
+
+
 class TestCompareFamilies:
+    """The family ranking, made from the records of evolve's loop."""
+
     def test_giga_truth_ranked_first_by_both_criteria(self):
         x = giga_sample(GIGaParams(6, 20, 0.5), 20000, seed=3)
-        ranked, failures = compare_families(x, B=49, seed=10)
+        ranked, failures = ranked_reports(*drawn_run(x, seed=10), B=49)
         assert not failures
         assert ranked[0].family == "GIGa"
         assert ranked[0].fit.loglik == max(r.fit.loglik for r in ranked)
@@ -341,24 +369,15 @@ class TestCompareFamilies:
                         dynamics=MeanFieldDynamics(), scheme="milstein",
                         N=3000, dt=0.01, t_end=1.0, snapshot_times=(1.0,),
                         seed=1)
-        w = simulate(cfg)[0].w
-        ranked, _ = compare_families(w, B=99, seed=1)
+        ranked, _ = ranked_reports(cfg, simulate(cfg)[0], B=99)
         assert ranked[0].family == "LN"
         assert ranked[0].p_value > 0.05
         by_family = {r.family: r for r in ranked}
         assert by_family["IGa"].p_value == 0.0
 
-    def test_family_failures_recorded_and_rest_ranked(self):
-        # five samples: too few for the three-parameter fit, fine for the rest
-        ranked, failures = compare_families(
-            np.array([1.0, 2.0, 3.0, 1.5, 2.5]), B=19, seed=1)
-        assert set(failures) == {"GIGa"}
-        assert [r.family for r in ranked] == ["LN", "IGa"] or \
-               [r.family for r in ranked] == ["IGa", "LN"]
-
     def test_deterministic_ranking(self):
         x = giga_sample(GIGaParams(3, 2, 1), 1500, seed=6)
-        a, _ = compare_families(x, B=29, seed=4)
-        b, _ = compare_families(x, B=29, seed=4)
+        a, _ = ranked_reports(*drawn_run(x, seed=4), B=29)
+        b, _ = ranked_reports(*drawn_run(x, seed=4), B=29)
         assert [(r.family, r.p_value, r.ks_stat) for r in a] == \
                [(r.family, r.p_value, r.ks_stat) for r in b]
