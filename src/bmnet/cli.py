@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .config import ExperimentConfig, config_to_text, load_config, parse_config_text
+from .config import (ExperimentConfig, config_to_text, load_config, load_model,
+                     parse_config_text)
 from .distributions import stationary_giga, theta_of_gamma
 from .engine import simulate, strong_convergence_study
 from .errors import ConfigError, PositivityError
@@ -88,24 +89,13 @@ class EvolutionRecord:
     error: str = ""
 
     def to_row(self) -> str:
-        fit = self.gof.fit if self.gof else None
-        alpha = beta = gamma = mu = s = None
-        if fit is not None:
-            p = fit.params
-            if hasattr(p, "alpha"):
-                alpha, beta, gamma = p.alpha, p.beta, p.gamma
-            else:
-                mu, s = p.mu, p.s
-        cells = [
-            _fmt(self.t), self.family, _fmt(alpha), _fmt(beta), _fmt(gamma),
-            _fmt(mu), _fmt(s),
-            _fmt(fit.gamma_hat if fit else None),
-            _fmt(fit.alpha_gamma if fit else None),
-            _fmt(fit.loglik if fit else None),
-            _fmt(self.gof.ks_stat if self.gof else None),
-            _fmt(self.gof.p_value if self.gof else None),
-            "true" if (fit is not None and fit.converged) else "false",
-        ]
+        d = self.gof.to_json_dict() if self.gof else {"params": {}}
+        cells = [_fmt(self.t), self.family,
+                 *(_fmt(d["params"].get(k))
+                   for k in ("alpha", "beta", "gamma", "mu", "s")),
+                 *(_fmt(d.get(k)) for k in ("gamma", "alpha_gamma", "loglik",
+                                             "ks_stat", "p_value")),
+                 "true" if d.get("converged") else "false"]
         return ",".join(cells)
 
 
@@ -422,13 +412,10 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(args.config, seed=args.seed, out_dir=args.out)
         if args.command == "theta":
-            J, sigma2 = args.J, args.sigma2
-            if args.config is not None:
-                config = load_config(args.config)
-                J = J if J is not None else config.sim.params.J
-                sigma2 = sigma2 if sigma2 is not None else config.sim.params.sigma2
-            return cmd_theta(J=J if J is not None else _DEFAULT_J,
-                             sigma2=sigma2 if sigma2 is not None else _DEFAULT_SIGMA2,
+            sigma2, J = (load_model(args.config) if args.config is not None
+                         else (_DEFAULT_SIGMA2, _DEFAULT_J))
+            return cmd_theta(J=J if args.J is None else args.J,
+                             sigma2=sigma2 if args.sigma2 is None else args.sigma2,
                              out_dir=args.out)
         if args.command == "convergence":
             dts = ([float(v) for v in args.dts.split(",")]

@@ -101,10 +101,11 @@ def _parse_sections(text: str, origin: str) -> dict:
     return sections
 
 
-def _get(sections, section, key, convert, default=None, required=True):
+def _get(sections, section, key, convert, default=None):
+    """A converted value; a key without a default is required."""
     sec = sections.get(section, {})
     if key not in sec:
-        if required and default is None:
+        if default is None:
             raise ConfigError(f"missing key {key!r} in [{section}]")
         return default
     value, where = sec[key]
@@ -137,6 +138,17 @@ def _str_list(value: str):
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
+def _model(sections) -> tuple:
+    """The [model] sigma2 and J, checked and as written."""
+    sigma2 = _get(sections, "model", "sigma2", _finite)
+    J = _get(sections, "model", "J", _finite)
+    if sigma2 <= 0:
+        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
+    if J < 0:
+        raise ConfigError(f"J must be nonnegative, got {J}")
+    return sigma2, J
+
+
 def parse_config_text(text: str, origin: str = "<config>",
                       seed=None) -> ExperimentConfig:
     """Resolve config text; a given ``seed`` replaces the ``[run]`` seed."""
@@ -150,14 +162,8 @@ def parse_config_text(text: str, origin: str = "<config>",
             raise ConfigError(f"missing section [{required}]", origin)
 
     # every value is checked here, before any topology is built
-    sigma2 = _get(sections, "model", "sigma2", _finite)
-    J = _get(sections, "model", "J", _finite)
-    if sigma2 <= 0:
-        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    try:
-        params = ModelParams.from_sigma2(sigma2, J)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sigma2, J = _model(sections)
+    params = ModelParams.from_sigma2(sigma2, J)
 
     n_agents = _get(sections, "run", "N", int)
     dt = _get(sections, "run", "dt", _finite)
@@ -166,7 +172,7 @@ def parse_config_text(text: str, origin: str = "<config>",
     seed = _get(sections, "run", "seed", _seed)
     init, init_sd = _parse_init(
         _get(sections, "run", "init", str, default="ones"))
-    scheme = _get(sections, "run", "scheme", str, default="", required=False)
+    scheme = _get(sections, "run", "scheme", str, default="")
 
     kind = _get(sections, "dynamics", "kind", str)
     if kind not in _KINDS:
@@ -208,12 +214,10 @@ def parse_config_text(text: str, origin: str = "<config>",
                     snapshot_times=tuple(snapshot_times),
                     init=init, init_sd=init_sd, seed=seed)
 
-    families = _get(sections, "fit", "families", _str_list,
-                    default=(), required=False) or ()
-    fit_times = _get(sections, "fit", "fit_times", _float_list,
-                     default=(), required=False) or ()
+    families = _get(sections, "fit", "families", _str_list, default=())
+    fit_times = _get(sections, "fit", "fit_times", _float_list, default=())
     bootstrap_b = _get(sections, "fit", "bootstrap_B", int,
-                       default=DEFAULT_BOOTSTRAP_B, required=False)
+                       default=DEFAULT_BOOTSTRAP_B)
 
     resolved = {
         "model": {"sigma2": sigma2, "J": J},
@@ -270,6 +274,13 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_config_text(text, origin=str(path), seed=seed_override)
+
+
+def load_model(path) -> tuple:
+    """Read only the [model] sigma2 and J of a config file; the other
+    sections are checked for unknown keys but not resolved."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _model(_parse_sections(fh.read(), str(path)))
 
 
 def config_to_text(config: ExperimentConfig) -> str:

@@ -66,15 +66,14 @@ def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkDynamics:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):
         memory = math.inf
-    # at its peak, placing the lower neighbors, the build holds per pair
-    # two entries of indices, one of dst, src, k and lower_row, and two
-    # of pos (the old array and the new one), all of the index dtype,
-    # plus argsort's int64 order and half as many int64 of its stable
-    # sort's buffer: 44 bytes a pair with int32 indices, as tracemalloc
-    # measured at N = 4000, p_sw = 0.5
+    # the build's peak RSS exceeds its start by 48.5 bytes a pair with
+    # int32 indices (in a fresh process at N = 3000 and 4000, p_sw = 0.5,
+    # and at N = 1e4, p_sw = 0.1); 14 index words a pair are 56 bytes, 15%
+    # to spare, and with int64 indices their doubling over-covers the
+    # build, whose sort order is int64 at either width
     pairs = p_sw * N * (N - 1) / 2
     word = np.dtype(sp.get_index_dtype(maxval=int(2 * pairs + N))).itemsize
-    need = pairs * (8 * word + 12)
+    need = pairs * 14 * word
     if need > memory:
         raise ValueError(f"small-world graph with N={N}, p_sw={p_sw} needs "
                          f"about {need / 2 ** 30:.3g} GiB to build, more "
@@ -84,40 +83,25 @@ def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkDynamics:
     upper = [np.flatnonzero(rng.random(N - 1 - i) < p_sw) + (i + 1)
              for i in range(N - 1)]
     n_upper = np.array([u.size for u in upper] + [0])
-    n_pairs = int(n_upper.sum())
-    dtype = sp.get_index_dtype(maxval=2 * n_pairs + N)
+    dtype = sp.get_index_dtype(maxval=2 * int(n_upper.sum()) + N)
     dst = np.concatenate(upper, dtype=dtype)
     del upper  # its int64 rows would outlive the build otherwise
     agents = np.arange(N, dtype=dtype)
     src = np.repeat(agents, n_upper)
-    n_lower = np.bincount(dst, minlength=N)
-    degrees = n_lower + n_upper
+    degrees = np.bincount(dst, minlength=N) + n_upper
     indptr = np.zeros(N + 1, dtype=dtype)
     np.cumsum(degrees + 1, out=indptr[1:])
-    # row i lists its lower neighbors, then its upper ones, then i.  Pair
-    # k goes to row src[k] after all lower entries up to that row and the
-    # src[k] earlier degree slots, and the stable sort by dst lists row
-    # i's lower neighbors, ascending, after all upper entries and slots
-    # before row i.
-    k = np.arange(n_pairs, dtype=dtype)
-    indices = np.empty(2 * n_pairs + N, dtype=dtype)
-    pos = np.cumsum(n_lower, dtype=dtype)[src]
-    pos += k
-    pos += src
-    indices[pos] = dst
-    order = np.argsort(dst, kind="stable")
-    lower_row = dst[order]
-    pos = (np.cumsum(n_upper, dtype=dtype) - n_upper)[lower_row]
-    pos += k
-    pos += lower_row
-    indices[pos] = src[order]
-    del dst, src, k, pos, order, lower_row  # before the weights exist
-    slots = indptr[1:] - 1
-    indices[slots] = agents
+    # every pair is written once in the row of its larger end, once in
+    # that of its smaller end, and then each row's degree slot; both
+    # pair lists ascend within a row, so the stable sort by row lists
+    # row i's lower neighbors, its upper ones and then i
+    order = np.argsort(np.concatenate((dst, src, agents)), kind="stable")
+    indices = np.concatenate((src, dst, agents))[order]
+    del dst, src, order  # before the weights exist
     for a in (indptr, indices, degrees):
         a.setflags(write=False)
     data = np.ones(indices.size)
-    data[slots] = -degrees
+    data[indptr[1:] - 1] = -degrees
     # the index arrays have scipy's index dtype, so no copy is made
     laplacian = sp.csr_matrix((data, indices, indptr), shape=(N, N))
     return NetworkDynamics(int(N), RANDOM_SMALLWORLD, float(p_sw * N),

@@ -362,6 +362,27 @@ class TestThetaCommand:
         assert cli.main(["theta", option, value,
                          "--out", str(tmp_path / "x")]) == 2
 
+    def test_config_supplies_only_the_model(self, tmp_path):
+        # the graph of this config would not fit in memory; theta reads
+        # sigma2 and J as written and builds nothing
+        text = MINIMAL.replace("N = 100", "N = 10000000").replace(
+            "kind = meanfield", "kind = smallworld\np_sw = 0.5")
+        assert cli.main(["theta", "--config", write_config(tmp_path, text),
+                         "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["theta", "--J", "0.1", "--sigma2", "0.05",
+                         "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "theta_table.csv").read_bytes()
+                == (tmp_path / "b" / "theta_table.csv").read_bytes())
+
+    @pytest.mark.parametrize("old, new", [
+        ("J = 0.1", "J = 0.1\nbogus = 1"), ("[fit]", "[bogus]")],
+        ids=["unknown-key", "unknown-section"])
+    def test_unknown_config_entries_exit_2(self, tmp_path, old, new):
+        text = MINIMAL.replace(old, new)
+        assert cli.main(["theta", "--config", write_config(tmp_path, text),
+                         "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
 
 class TestConvergenceCommand:
     def test_json_output(self, tmp_path):

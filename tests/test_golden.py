@@ -12,6 +12,8 @@ figure 2 (histogram mode, small-world Milstein: N = 60, B = 9,
 t_end = 2, times 1 and 2) and figure 5 (evolution mode, four EFT runs:
 N = 40, B = 5, t_end = 1, time 1), both at seed 3.  The ``reproduce``
 hashes were recorded at format version 6, and their manifests again at 7.
+``bmnet theta`` is pinned at its defaults and at J = 0.2, sigma2 = 0.05;
+its table was recorded at format version 7.
 
 The hashes were recorded with numpy 2.4.6 and scipy 1.17.1 on Python
 3.11.7, before the two stepping loops of the engine were merged into
@@ -107,6 +109,12 @@ REPRODUCE = {
     5: dict(N=40, bootstrap_b=5, seed=3, t_end=1.0, times=(1.0,)),
 }
 
+# options of the pinned ``theta`` tables, by case
+THETA = {
+    "theta-default": [],
+    "theta-J0.2": ["--J", "0.2", "--sigma2", "0.05"],
+}
+
 GOLDEN_TEXT = """\
 e9ba750f5e41a048e36f1a1664571cc08fa1257ab9f9dd23253709049d924ae4  complete-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  complete-milstein/simulate/snapshot_t0.0.csv
@@ -186,6 +194,8 @@ e426be53d9490c22c1217fcb31324e78f5a1be6cea42113aa77ac07eae6bdbe0  fig5/reproduce
 b36467de382541a7d9c00111275baff23c3457c807f87415f336f443c850dc85  fig5/reproduce/evolution_eft_g0.6.csv
 f3103ba19acb3569629cc2fc426d3ccff4c6e4477dc33025d6dbb494afe374e6  fig5/reproduce/evolution_eft_g0.8.csv
 57817b0c00b88cd0f3060775dec9f89823d4d4f9b9f0d7f249acfef75f7cc786  fig5/reproduce/manifest.json
+94d65a0f1c8727ddf3082a3027073990cc6ed40db249b74de40311cf4970133b  theta-default/theta/theta_table.csv
+d859ead8aad82708fe87f5f3dd7cf60e87207f2b6363ca088834a71dbf2b9364  theta-J0.2/theta/theta_table.csv
 """
 
 
@@ -214,7 +224,9 @@ def _run(tmp_path, case, command) -> dict:
         assert cli.cmd_reproduce(figure, out_dir=str(out), dt=0.01,
                                  **REPRODUCE[figure]) == 0
         return _hashes(out / case)
-    if command == "convergence":
+    if command == "theta":
+        args = THETA[case]
+    elif command == "convergence":
         args = ["--scheme", case.split("-", 1)[1], "--paths", "200"]
     else:
         kind, scheme, init = CASES[case]
@@ -245,6 +257,11 @@ def test_reproduce_output_unchanged(tmp_path, figure):
     assert _run(tmp_path, case, "reproduce") == GOLDEN[f"{case}/reproduce"]
 
 
+@pytest.mark.parametrize("case", list(THETA))
+def test_theta_output_unchanged(tmp_path, case):
+    assert _run(tmp_path, case, "theta") == GOLDEN[f"{case}/theta"]
+
+
 if __name__ == "__main__":
     # print the current hashes in GOLDEN_TEXT's format, to re-record them;
     # what the commands themselves print goes to stderr
@@ -258,6 +275,7 @@ if __name__ == "__main__":
     runs += [(f"convergence-{s}", "convergence")
              for s in ("milstein", "taylor15")]
     runs += [(f"fig{figure}", "reproduce") for figure in REPRODUCE]
+    runs += [(case, "theta") for case in THETA]
     for case, command in runs:
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(sys.stderr):

@@ -5,6 +5,8 @@ graph is read back from the coupling operator that the engine applies.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from bmnet import topology
 from bmnet.engine import ModelParams
 from bmnet.topology import (build_complete, build_random_smallworld,
                             build_regular_ring)
@@ -226,6 +229,29 @@ class TestRandomSmallWorld:
         monkeypatch.undo()
         assert np.array_equal(a.indices,
                               build_random_smallworld(60, 0.1, seed=5).indices)
+
+    def test_memory_check_covers_the_build(self, monkeypatch):
+        # a machine with just the memory that the build was seen to take
+        # must refuse it.  The child's peak is its VmHWM: ru_maxrss would
+        # start from this process's peak, which it inherits
+        src = os.path.dirname(os.path.dirname(topology.__file__))
+        script = ("from bmnet.topology import build_random_smallworld\n"
+                  "def kib(field):\n"
+                  "    for line in open('/proc/self/status'):\n"
+                  "        if line.startswith(field):\n"
+                  "            return int(line.split()[1])\n"
+                  "before = kib('VmRSS:')\n"
+                  "build_random_smallworld(3000, 0.5, 1)\n"
+                  "print(1024 * (kib('VmHWM:') - before))\n")
+        out = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        growth = int(out.stdout)
+        assert growth > 0
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": growth,
+                                            "SC_PAGE_SIZE": 1}.get)
+        with pytest.raises(ValueError, match="GiB of memory"):
+            build_random_smallworld(3000, 0.5, 1)
 
     def test_isolated_agents_kept(self):
         top = build_random_smallworld(200, 0.005, seed=3)
