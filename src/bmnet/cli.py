@@ -59,6 +59,16 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _make_dir(path) -> None:
+    """Create the output directory ``path`` unless it exists; a path that
+    cannot be one is a ConfigError, so callers check it before any work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {path} as the output directory: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _write_atomic(path, data: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -166,7 +176,7 @@ def _run_record(label: str, config: ExperimentConfig, outputs,
 def cmd_simulate(config_path, seed=None, out_dir=".") -> int:
     """Run one simulation; write one CSV per snapshot plus a manifest."""
     config = load_config(config_path, seed_override=seed)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     try:
         snapshots = simulate(config.sim)
     except PositivityError as err:
@@ -189,7 +199,7 @@ def cmd_evolve(config_path, seed=None, out_dir=".") -> int:
     config = load_config(config_path, seed_override=seed)
     if not config.families or not config.fit_times:
         raise ConfigError("evolve needs a [fit] section with families and fit_times")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     # a PositivityError leaves through main(): exit 3 with its message
     records = evolution_records(config, simulate(config.sim))
     write_evolution_csv(os.path.join(out_dir, "evolution.csv"), records)
@@ -204,7 +214,7 @@ def cmd_theta(J: float = _DEFAULT_J, sigma2: float = _DEFAULT_SIGMA2,
     if not (0 < J < np.inf and 0 < sigma2 < np.inf):
         raise ConfigError(f"J and sigma2 must be positive, got J={J}, "
                           f"sigma2={sigma2}")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     lines = ["gamma,theta,alpha,beta"]
     for gamma in np.linspace(0.01, 1.0, 101):
         gamma = float(gamma)
@@ -220,11 +230,11 @@ def cmd_convergence(scheme: str, dts=None, paths: int = 1000, seed: int = 0,
                     out_dir: str = ".") -> int:
     """Strong-order study against the exact uncoupled solution (J = 0)."""
     dts = list(dts) if dts else list(_DEFAULT_CONVERGENCE_DTS)
+    _make_dir(out_dir)
     try:
         result = strong_convergence_study(scheme, dts, paths, seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, f"convergence_{scheme}.json"), result)
     print(f"{scheme}: fitted slope {result['fitted_slope']:.3f}")
     return 0
@@ -321,7 +331,7 @@ def cmd_reproduce(figure: int, out_dir: str = ".", N: int = FIGURE_DEFAULT_N,
     """
     plan = build_figure_plan(figure)
     fig_dir = os.path.join(out_dir, f"fig{figure}")
-    os.makedirs(fig_dir, exist_ok=True)
+    _make_dir(fig_dir)
     runs = []
     code = 0
     for run in plan:
@@ -418,8 +428,12 @@ def main(argv=None) -> int:
                              sigma2=sigma2 if args.sigma2 is None else args.sigma2,
                              out_dir=args.out)
         if args.command == "convergence":
-            dts = ([float(v) for v in args.dts.split(",")]
-                   if args.dts else None)
+            try:
+                dts = ([float(v) for v in args.dts.split(",")]
+                       if args.dts else None)
+            except ValueError:
+                raise ConfigError(f"--dts must be comma-separated numbers, "
+                                  f"got {args.dts!r}") from None
             return cmd_convergence(args.scheme, dts=dts, paths=args.paths,
                                    seed=args.seed, out_dir=args.out)
         if args.command == "reproduce":

@@ -269,18 +269,25 @@ def _init_text(init: str, init_sd: float) -> str:
     return f"gaussian:{init_sd!r}"
 
 
+def _read(path) -> str:
+    """The UTF-8 text of a config file; a ConfigError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config: {reason}", str(path)) from exc
+
+
 def load_config(path, seed_override=None) -> ExperimentConfig:
     """Read and resolve a config file, optionally overriding the seed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config_text(text, origin=str(path), seed=seed_override)
+    return parse_config_text(_read(path), origin=str(path), seed=seed_override)
 
 
 def load_model(path) -> tuple:
     """Read only the [model] sigma2 and J of a config file; the other
     sections are checked for unknown keys but not resolved."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _model(_parse_sections(fh.read(), str(path)))
+    return _model(_parse_sections(_read(path), str(path)))
 
 
 def config_to_text(config: ExperimentConfig) -> str:

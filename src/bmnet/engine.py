@@ -23,14 +23,14 @@ Noise is counter-based: the Gaussian increments of step k come from a
 Philox stream keyed by the run seed with the step index in the counter,
 so a simulation is a pure function of its config no matter how the work
 is scheduled.  A run builds one generator and moves it to each step's
-counter.  The loop draws the noise of K consecutive steps at once, each
-step from its own counter, and turns the block into per-step
-coefficient rows (the Milstein factor m, the Taylor factors P and Q)
-with a few ufunc calls over (K, N) arrays; the steps then do only the
-work that depends on the state.  K = max(1, 2**14 // draws per step) is
-a module constant, and no output depends on it.  On two CPUs or more, a
-long run forks a producer that draws the blocks ahead of the steps into
-shared memory; the bits are the same.
+counter.  A run's noise source alone picks K = max(1, 2**14 // draws
+per step) and draws the noise of K consecutive steps at once, each step
+from its own counter; no output depends on K.  The loop iterates the
+blocks it is handed and turns each into per-step coefficient rows (the
+Milstein factor m, the Taylor factors P and Q) with a few ufunc calls
+over (K, N) arrays; the steps do only the work that depends on the
+state.  On two CPUs or more, a long run forks a producer that draws the
+blocks ahead of the steps into shared memory; the bits are the same.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ DEFAULT_GAUSSIAN_INIT_SD = 0.05
 _NOISE_LANE = 0
 _INIT_LANE = 1
 
-# the loop draws the noise of max(1, _BLOCK_DRAWS // draws per step)
-# steps at once: 16 Milstein steps at N = 1e3, one at N = 1e4.  A block
+# a run's noise comes in blocks of max(1, _BLOCK_DRAWS // draws per
+# step) steps: 16 Milstein steps at N = 1e3, one at N = 1e4.  A block
 # and its coefficients stay near 256 KB: at 2**15 draws, a Milstein run
 # at N = 1e4 held 0.47 MiB more at its peak than one step at a time
 _BLOCK_DRAWS = 2 ** 14
@@ -484,46 +484,38 @@ def initial_state(config: SimConfig) -> np.ndarray:
     return w
 
 
-def _block_steps(draws: int) -> int:
-    """Steps per noise block when each step draws ``draws`` variates."""
-    return max(1, _BLOCK_DRAWS // draws)
-
-
 def _step_loop(w: np.ndarray, dynamics, params: ModelParams, scheme: str,
-               dt: float, n_steps: int, noise, after_step=None) -> np.ndarray:
-    """Advance w from t = 0 by n_steps steps of size dt; return the result.
+               dt: float, blocks, after_step=None) -> np.ndarray:
+    """Advance w from t = 0 by steps of size dt; return the result.
 
-    ``noise(k, K)`` gives the (dB, dZ) rows of steps k ... k + K - 1, which
-    become per-step coefficient rows in one pass per block; it is called
-    for the blocks in order, the next only after the steps of the last.
-    ``after_step(k, w)`` sees the state after k steps.  The step
-    functions are module globals read at call time, so wrappers installed
-    on this module see every step.
+    ``blocks`` yields the (dB, dZ) rows of the steps in order, in blocks
+    whose length its source picks; each block becomes per-step
+    coefficient rows in one pass, and the next is asked for only after
+    the steps of the last.  ``after_step(k, w)`` sees the state after k
+    steps.  The step functions are module globals read at call time, so
+    wrappers installed on this module see every step.
     """
     step = milstein_step if scheme == MILSTEIN else taylor15_step
-    block = _block_steps(w.size if scheme == MILSTEIN else 2 * w.size)
-    t = 0.0
-    for start in range(0, n_steps, block):
-        # the noise itself is dropped once its coefficients exist
-        coefficients = _step_coefficients(
-            scheme, params, dt, *noise(start, min(block, n_steps - start)))
-        for k, row in enumerate(zip(*coefficients), start):
+    t, k = 0.0, 0
+    for noise in blocks:
+        for row in zip(*_step_coefficients(scheme, params, dt, *noise)):
             try:
                 w = step(w, t, dynamics, params, dt, *row)
             except PositivityError as err:
                 err.step = k
                 raise
+            k += 1
             t += dt
             if after_step is not None:
-                after_step(k + 1, w)
+                after_step(k, w)
     return w
 
 
 @contextmanager
-def _noise_blocks(gen: NoiseGenerator, dt: float, shape: tuple,
-                  n_steps: int):
-    """``noise(k, K)`` for :func:`_step_loop`: the :func:`step_noise` rows
-    of blocks of shape ``shape``, whose first axis is the block length.
+def _noise_blocks(config: SimConfig):
+    """The :func:`step_noise` (dB, dZ) blocks of ``config``'s run, in order,
+    for :func:`_step_loop`; the one place that picks their length K =
+    max(1, _BLOCK_DRAWS // draws per step) and shape from scheme and N.
 
     In process, one buffer is filled again for each block.  For a run of
     at least ``_fork._FORK_MIN_DRAWS`` draws on two CPUs or more, a forked
@@ -536,17 +528,21 @@ def _noise_blocks(gen: NoiseGenerator, dt: float, shape: tuple,
     are the same bits either way.  If the producer ends early the parent
     raises RuntimeError; on every exit the producer has been reaped.
     """
-    block = shape[0]
-    if _fork.processes(n_steps * math.prod(shape[1:])) < 2:
-        z = np.empty(shape)
-        yield lambda k, K: step_noise(gen, k, dt, z[:K])
+    rows = (2, config.N) if config.scheme == TAYLOR15 else (config.N,)
+    block = max(1, _BLOCK_DRAWS // math.prod(rows))
+    n_steps, dt = config.n_steps, config.dt
+    starts = range(0, n_steps, block)
+    gen = NoiseGenerator(config.seed)
+    if _fork.processes(n_steps * math.prod(rows)) < 2:
+        z = np.empty((block,) + rows)
+        # a slice past the end stops there: the last block may be short
+        yield (step_noise(gen, k, dt, z[:n_steps - k]) for k in starts)
         return
     import mmap  # only forked runs need it
 
-    n_blocks = -(-n_steps // block)
-    n_slots = min(_NOISE_SLOTS, n_blocks)
-    ring = mmap.mmap(-1, n_slots * 8 * math.prod(shape))
-    slots = np.frombuffer(ring).reshape((n_slots,) + shape)
+    n_slots = min(_NOISE_SLOTS, len(starts))
+    ring = mmap.mmap(-1, n_slots * 8 * block * math.prod(rows))
+    slots = np.frombuffer(ring).reshape((n_slots, block) + rows)
     free_r, free_w = os.pipe()
     ready_r, ready_w = os.pipe()
     # the first credits go in before the fork, so a producer that has
@@ -556,11 +552,10 @@ def _noise_blocks(gen: NoiseGenerator, dt: float, shape: tuple,
     def produce():
         os.close(free_w)
         os.close(ready_r)
-        for i, start in enumerate(range(0, n_steps, block)):
+        for i, k in enumerate(starts):
             if not os.read(free_r, 1):
                 return  # the parent has gone
-            step_noise(gen, start, dt,
-                       slots[i % n_slots, :min(block, n_steps - start)])
+            step_noise(gen, k, dt, slots[i % n_slots, :n_steps - k])
             os.write(ready_w, b"\0")
 
     try:
@@ -569,26 +564,26 @@ def _noise_blocks(gen: NoiseGenerator, dt: float, shape: tuple,
         os.close(free_r)
         os.close(ready_w)
 
-    def noise(k, K):
+    def read():
         nonlocal pid
-        i = k // block
-        try:
-            # the producer draws block i + n_slots - 1 into the slot that
-            # block i - 1 held, if there is such a block
-            if 0 < i <= n_blocks - n_slots:
-                os.write(free_w, b"\0")
-            ready = os.read(ready_r, 1)
-        except BrokenPipeError:
-            ready = b""
-        if not ready:
-            code, pid = _fork.reap(pid), None
-            raise RuntimeError(f"noise producer exited with status {code} "
-                               f"before step {k}")
-        return _increments(slots[i % n_slots, :K])
+        for i, k in enumerate(starts):
+            try:
+                # the producer draws block i + n_slots - 1 into the slot
+                # that block i - 1 held, if there is such a block
+                if 0 < i <= len(starts) - n_slots:
+                    os.write(free_w, b"\0")
+                ready = os.read(ready_r, 1)
+            except BrokenPipeError:
+                ready = b""
+            if not ready:
+                code, pid = _fork.reap(pid), None
+                raise RuntimeError(f"noise producer exited with status "
+                                   f"{code} before step {k}")
+            yield _increments(slots[i % n_slots, :n_steps - k])
 
     failed = True
     try:
-        yield noise
+        yield read()
         failed = False
     finally:
         os.close(free_w)
@@ -619,13 +614,10 @@ def simulate(config: SimConfig) -> list:
 
     w = initial_state(config)
     record(0, w)
-    rows = (2, config.N) if config.scheme == TAYLOR15 else (config.N,)
-    shape = (_block_steps(math.prod(rows)),) + rows
-    with _noise_blocks(NoiseGenerator(config.seed), config.dt, shape,
-                       config.n_steps) as noise:
+    with _noise_blocks(config) as blocks:
         try:
             _step_loop(w, config.dynamics, config.params, config.scheme,
-                       config.dt, config.n_steps, noise, record)
+                       config.dt, blocks, record)
         except PositivityError as err:
             err.snapshots = snapshots
             raise
@@ -646,10 +638,14 @@ def strong_convergence_study(scheme: str, dts, n_paths: int,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got {n_paths}")
     sigma, t_end = math.sqrt(0.05), 1.0
     dts = sorted(float(d) for d in dts)
-    if not dts or dts[0] <= 0:
-        raise ValueError("need positive step sizes")
+    if not all(0 < d < math.inf for d in dts):
+        raise ValueError("need positive finite step sizes")
+    if len(set(dts)) < 2:
+        raise ValueError("need two distinct step sizes or more to fit a slope")
     dt_fine = dts[0]
     m_fine = int(round(t_end / dt_fine))
     if abs(m_fine * dt_fine - t_end) > 1e-12:
@@ -669,6 +665,8 @@ def strong_convergence_study(scheme: str, dts, n_paths: int,
     w_exact = np.exp(math.sqrt(2.0) * sigma * b_total - sigma * sigma * t_end)
 
     params = ModelParams(sigma=sigma, J=0.0)
+    # steps per slice: as many as fit in _BLOCK_DRAWS draws, one at least
+    K = max(1, _BLOCK_DRAWS // n_paths // (1 if scheme == MILSTEIN else 2))
     errors = []
     for d in dts:
         m = int(round(d / dt_fine))
@@ -680,7 +678,8 @@ def strong_convergence_study(scheme: str, dts, n_paths: int,
         prefix = np.cumsum(db_blk, axis=1) - db_blk
         dz = dz_blk.sum(axis=1) + dt_fine * prefix.sum(axis=1)
         w = _step_loop(np.ones(n_paths), MeanFieldDynamics(), params, scheme,
-                       d, k_steps, lambda k, K: (db[k:k + K], dz[k:k + K]))
+                       d, ((db[k:k + K], dz[k:k + K])
+                           for k in range(0, k_steps, K)))
         errors.append(float(np.mean(np.abs(w - w_exact))))
 
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])

@@ -311,6 +311,38 @@ class TestMalformedValues:
         assert cfg.sim.dynamics.N == 1000
         assert cfg.sim.dynamics.indices.size > 1000
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "exp.ini"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(MINIMAL.encode("utf-16"))
+        for command in (["simulate"], ["evolve"], ["theta"]):
+            assert cli.main([*command, "--config", str(path),
+                             "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {path}: cannot read config")
+        assert not (tmp_path / "x").exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("work started before --out was checked")
+        monkeypatch.setattr(cli, "simulate", no_work)
+        monkeypatch.setattr(cli, "strong_convergence_study", no_work)
+        monkeypatch.setattr(cli, "theta_of_gamma", no_work)
+        out = tmp_path / "out"
+        out.write_text("keep")
+        config = write_config(tmp_path)
+        for command in (["simulate", "--config", config],
+                        ["evolve", "--config", config], ["theta"],
+                        ["convergence", "--scheme", "milstein"],
+                        ["reproduce", "5", "--N", "50", "--t-end", "1"]):
+            assert cli.main([*command, "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot use {out}")
+        assert out.read_text() == "keep"
+
     def test_negative_seed_option_exits_2(self, tmp_path):
         assert cli.main(["evolve", "--config", write_config(tmp_path),
                          "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
@@ -396,9 +428,15 @@ class TestConvergenceCommand:
         assert len(data["strong_errors"]) == 3
         assert 0.6 < data["fitted_slope"] < 1.4
 
-    def test_bad_dt_exits_2(self, tmp_path):
-        assert cli.main(["convergence", "--scheme", "milstein",
-                         "--dts", "-0.1", "--out", str(tmp_path / "x")]) == 2
+    def test_bad_dt_exits_2(self, tmp_path, capsys):
+        # like a negative step: an unparsable list, an infinite step, no
+        # paths, and one distinct step size, through which no slope fits
+        for args in (["--dts", "-0.1"], ["--dts", "0.1,abc"],
+                     ["--dts", "0.5,inf"], ["--paths", "0"],
+                     ["--dts", "0.5"], ["--dts", "0.5,0.5"]):
+            assert cli.main(["convergence", "--scheme", "milstein", *args,
+                             "--out", str(tmp_path / "x")]) == 2, args
+            assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestReproduceCommand:

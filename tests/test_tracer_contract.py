@@ -47,7 +47,9 @@ N_STEPS = 50
     ("kind = smallworld\np_sw = 0.05", "milstein"),
     ("kind = ring\nz = 0.05", "taylor15"),
     ("kind = complete", "milstein"),
-], ids=["smallworld-milstein", "ring-taylor15", "complete-milstein"])
+    ("kind = eft\ngamma_eft = 0.5", "milstein"),
+], ids=["smallworld-milstein", "ring-taylor15", "complete-milstein",
+        "eft-milstein"])
 def test_traced_evolve_spans_every_step(tmp_path, dynamics, scheme):
     config = tmp_path / "exp.ini"
     config.write_text(CONFIG.format(dynamics=dynamics, scheme=scheme))
