@@ -244,123 +244,114 @@ def cmd_convergence(scheme: str, dts=None, paths: int = 1000, seed: int = 0,
 
 FIGURE_DEFAULT_N = 10_000
 FIGURE_DEFAULT_DT = 0.01
-
-
-@dataclass(frozen=True)
-class FigureRun:
-    """One simulation in a figure-reproduction sweep."""
-
-    label: str
-    dynamics_lines: tuple
-    scheme: str
-    t_end: float
-    times: tuple
-    mode: str  # "histogram" | "evolution"
-
-
-_HIST_TIMES = {1: (1.0, 2500.0), 2: (1.0, 500.0)}
 _EVOLUTION_TIMES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0,
                     300.0, 500.0)
 _LONG_EVOLUTION_TIMES = _EVOLUTION_TIMES + (1000.0, 1500.0, 2500.0)
 
-
-def build_figure_plan(figure: int) -> list:
-    """The per-figure parameter sweeps, with the published parameter sets."""
-    if figure == 1:
-        return [FigureRun("regn_z0.01", ("kind = ring", "z = 0.01"),
-                          engine.TAYLOR15, 2500.0, _HIST_TIMES[1], "histogram")]
-    if figure == 2:
-        return [FigureRun("rann_p0.003", ("kind = smallworld", "p_sw = 0.003"),
-                          engine.MILSTEIN, 500.0, _HIST_TIMES[2], "histogram")]
-    if figure == 3:
-        return [FigureRun(f"regn_z{z:g}", ("kind = ring", f"z = {z!r}"),
-                          engine.TAYLOR15, 2500.0, _LONG_EVOLUTION_TIMES,
-                          "evolution")
-                for z in (0.1, 0.01, 0.003)]
-    if figure == 4:
-        return [FigureRun(f"rann_p{p:g}", ("kind = smallworld", f"p_sw = {p!r}"),
-                          engine.MILSTEIN, 500.0, _EVOLUTION_TIMES, "evolution")
-                for p in (0.1, 0.003, 0.002, 0.001)]
-    if figure == 5:
-        return [FigureRun(f"eft_g{g:g}", ("kind = eft", f"gamma_eft = {g!r}"),
-                          engine.MILSTEIN, 500.0, _EVOLUTION_TIMES, "evolution")
-                for g in (0.8, 0.6, 0.5, 0.4)]
-    raise ConfigError(f"unknown figure id {figure}; expected 1-5")
+# The published parameter sets, by figure: label prefix, dynamics kind,
+# swept key and its values, scheme, t_end, snapshot and fit times, and
+# whether the figure writes histogram tables.
+_FIGURES = {
+    1: ("regn_z", "ring", "z", (0.01,), engine.TAYLOR15, 2500.0,
+        (1.0, 2500.0), True),
+    2: ("rann_p", "smallworld", "p_sw", (0.003,), engine.MILSTEIN, 500.0,
+        (1.0, 500.0), True),
+    3: ("regn_z", "ring", "z", (0.1, 0.01, 0.003), engine.TAYLOR15, 2500.0,
+        _LONG_EVOLUTION_TIMES, False),
+    4: ("rann_p", "smallworld", "p_sw", (0.1, 0.003, 0.002, 0.001),
+        engine.MILSTEIN, 500.0, _EVOLUTION_TIMES, False),
+    5: ("eft_g", "eft", "gamma_eft", (0.8, 0.6, 0.5, 0.4), engine.MILSTEIN,
+        500.0, _EVOLUTION_TIMES, False),
+}
 
 
-def _figure_config(run: FigureRun, N: int, dt: float, bootstrap_b: int,
-                   seed: int, t_end=None, times=None) -> ExperimentConfig:
-    t_end = t_end if t_end is not None else run.t_end
-    times = tuple(times) if times is not None else tuple(
-        t for t in run.times if t <= t_end)
+def build_figure_plan(figure: int, N: int, dt: float, bootstrap_b: int,
+                      seed: int, t_end=None) -> list:
+    """``(label, config)`` for every run of a figure, each config resolved,
+    so a config error in any run raises before any run is stepped.  A
+    ``t_end`` below the figure's own keeps the figure times up to it."""
+    if figure not in _FIGURES:
+        raise ConfigError(f"unknown figure id {figure}; expected 1-5")
+    prefix, kind, key, values, scheme, t_full, all_times, _ = _FIGURES[figure]
+    t_end = t_full if t_end is None else t_end
+    times = tuple(t for t in all_times if t <= t_end)
+    if not times:
+        raise ConfigError(f"t_end = {t_end!r} keeps none of figure {figure}'s "
+                          f"times {all_times}")
     times_txt = ", ".join(repr(t) for t in times)
-    text = "\n".join([
-        "[model]",
-        f"sigma2 = {_DEFAULT_SIGMA2!r}",
-        f"J = {_DEFAULT_J!r}",
-        "[dynamics]",
-        *run.dynamics_lines,
-        "[run]",
-        f"N = {N}",
-        f"dt = {dt!r}",
-        f"t_end = {t_end!r}",
-        f"snapshot_times = {times_txt}",
-        f"scheme = {run.scheme}",
-        "init = ones",
-        f"seed = {seed}",
-        "[fit]",
-        "families = LN, IGa, GIGa",
-        f"fit_times = {times_txt}",
-        f"bootstrap_B = {bootstrap_b}",
-    ])
-    return parse_config_text(text, origin=f"<figure:{run.label}>")
+    plan = []
+    for value in values:
+        label = f"{prefix}{value:g}"
+        text = "\n".join([
+            "[model]",
+            f"sigma2 = {_DEFAULT_SIGMA2!r}",
+            f"J = {_DEFAULT_J!r}",
+            "[dynamics]",
+            f"kind = {kind}",
+            f"{key} = {value!r}",
+            "[run]",
+            f"N = {N}",
+            f"dt = {dt!r}",
+            f"t_end = {t_end!r}",
+            f"snapshot_times = {times_txt}",
+            f"scheme = {scheme}",
+            "init = ones",
+            f"seed = {seed}",
+            "[fit]",
+            "families = LN, IGa, GIGa",
+            f"fit_times = {times_txt}",
+            f"bootstrap_B = {bootstrap_b}",
+        ])
+        plan.append((label, parse_config_text(text, origin=f"<figure:{label}>")))
+    return plan
 
 
 def cmd_reproduce(figure: int, out_dir: str = ".", N: int = FIGURE_DEFAULT_N,
                   dt: float = FIGURE_DEFAULT_DT,
                   bootstrap_b: int = DEFAULT_BOOTSTRAP_B,
-                  seed: int = 0, t_end=None, times=None) -> int:
+                  seed: int = 0, t_end=None) -> int:
     """Re-run the published parameter sets and emit plot-ready tables.
 
     Figures 1-2 produce per-time histogram CSVs and a goodness-of-fit
     JSON; figures 3-5 produce one evolution CSV per parameter value.
-    One realization per parameter set.  The manifest lists every run
-    with its label, resolved ``config_text`` and outputs, so each file
-    replays from it.  A run that fails numerically is listed as failed,
-    the later runs are not attempted, and the return code is 3.
+    One realization per parameter set.  Every run's config is resolved
+    before the first run starts.  The manifest lists every run with its
+    label, resolved ``config_text`` and outputs, so each file replays
+    from it.  A run that fails numerically is listed as failed, the
+    later runs are not attempted, and the return code is 3.
     """
-    plan = build_figure_plan(figure)
+    plan = build_figure_plan(figure, N, dt, bootstrap_b, seed, t_end)
+    histogram = _FIGURES[figure][-1]
     fig_dir = os.path.join(out_dir, f"fig{figure}")
     _make_dir(fig_dir)
     runs = []
     code = 0
-    for run in plan:
-        config = _figure_config(run, N, dt, bootstrap_b, seed, t_end, times)
+    for label, config in plan:
         try:
             snapshots = simulate(config.sim)
         except PositivityError as err:
-            print(f"numerical failure in {run.label}: {err}", file=sys.stderr)
-            runs.append(_run_record(run.label, config, [], str(err)))
+            print(f"numerical failure in {label}: {err}", file=sys.stderr)
+            runs.append(_run_record(label, config, [], str(err)))
             code = 3
             break
         outputs = []
         records = evolution_records(config, snapshots)
-        if run.mode == "histogram":
+        if histogram:
             for snap in snapshots:
-                name = f"hist_{run.label}_t{_fmt(snap.t)}.csv"
+                name = f"hist_{label}_t{_fmt(snap.t)}.csv"
                 write_histogram_csv(os.path.join(fig_dir, name), snap.w)
                 outputs.append(name)
-            gof_name = f"gof_{run.label}.json"
+            gof_name = f"gof_{label}.json"
             _write_json(os.path.join(fig_dir, gof_name),
                         {"runs": [
                             {"t": r.t, **(r.gof.to_json_dict() if r.gof else
                                           {"family": r.family, "error": r.error})}
                             for r in records]})
             outputs.append(gof_name)
-        name = f"evolution_{run.label}.csv"
+        name = f"evolution_{label}.csv"
         write_evolution_csv(os.path.join(fig_dir, name), records)
         outputs.append(name)
-        runs.append(_run_record(run.label, config, outputs))
+        runs.append(_run_record(label, config, outputs))
     _write_json(os.path.join(fig_dir, "manifest.json"),
                 {"command": f"reproduce-{figure}",
                  "format_version": FORMAT_VERSION,

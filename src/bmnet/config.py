@@ -10,7 +10,8 @@ Sections and keys:
 
 Unknown sections or keys are errors, anchored to their line.  Numbers
 must be finite, and a seed must lie in [0, 2**64).  Lists are
-comma separated.  ``init`` is ``ones``, ``gaussian`` or ``gaussian:<sd>``.
+comma separated, with no entry repeated.  ``init`` is ``ones``,
+``gaussian`` or ``gaussian:<sd>``.
 ``scheme`` defaults by dynamics kind: the ring lattice uses the order-1.5
 Taylor scheme, everything else Milstein.  The small-world topology seed
 is the run seed, so a config fully determines its realization.
@@ -129,13 +130,21 @@ def _seed(value: str) -> int:
     return seed
 
 
+def _distinct(items: tuple) -> tuple:
+    """``items``, unless an entry repeats an earlier one."""
+    repeated = [v for i, v in enumerate(items) if v in items[:i]]
+    if repeated:
+        raise ValueError(f"{repeated[0]!r} is listed more than once")
+    return items
+
+
 def _float_list(value: str):
     items = [v.strip() for v in value.split(",") if v.strip()]
-    return tuple(_finite(v) for v in items)
+    return _distinct(tuple(_finite(v) for v in items))
 
 
 def _str_list(value: str):
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+    return _distinct(tuple(v.strip() for v in value.split(",") if v.strip()))
 
 
 def _model(sections) -> tuple:
@@ -173,6 +182,10 @@ def parse_config_text(text: str, origin: str = "<config>",
     init, init_sd = _parse_init(
         _get(sections, "run", "init", str, default="ones"))
     scheme = _get(sections, "run", "scheme", str, default="")
+    families = _get(sections, "fit", "families", _str_list, default=())
+    fit_times = _get(sections, "fit", "fit_times", _float_list, default=())
+    bootstrap_b = _get(sections, "fit", "bootstrap_B", int,
+                       default=DEFAULT_BOOTSTRAP_B)
 
     kind = _get(sections, "dynamics", "kind", str)
     if kind not in _KINDS:
@@ -196,7 +209,8 @@ def parse_config_text(text: str, origin: str = "<config>",
             z = _get(sections, "dynamics", "z", _finite)
             n = z * n_agents
             if abs(n - round(n)) > 1e-9:
-                raise ConfigError(f"z*N = {n} is not an integer ring degree")
+                raise ConfigError(f"z*N = {n} is not an integer ring degree",
+                                  sections["dynamics"]["z"][1])
             dynamics = topology.build_regular_ring(n_agents, int(round(n)))
         elif kind == "smallworld":
             p_sw = _get(sections, "dynamics", "p_sw", _finite)
@@ -213,11 +227,6 @@ def parse_config_text(text: str, origin: str = "<config>",
                     N=n_agents, dt=dt, t_end=t_end,
                     snapshot_times=tuple(snapshot_times),
                     init=init, init_sd=init_sd, seed=seed)
-
-    families = _get(sections, "fit", "families", _str_list, default=())
-    fit_times = _get(sections, "fit", "fit_times", _float_list, default=())
-    bootstrap_b = _get(sections, "fit", "bootstrap_B", int,
-                       default=DEFAULT_BOOTSTRAP_B)
 
     resolved = {
         "model": {"sigma2": sigma2, "J": J},

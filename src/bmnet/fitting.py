@@ -177,21 +177,6 @@ def _profile_loglik(n, gamma, mean_y, mean_log_y, mean_log_w, shape):
     return ll_gamma + n * np.log(gamma) - (gamma + 1.0) * n * mean_log_w
 
 
-def _profile_at_gamma(log_w: np.ndarray, mean_log_w: float, gamma: float,
-                      shape0=None):
-    """Inner gamma MLE for y = w**-gamma plus the profiled GIGa loglik.
-
-    The loglik is assembled from sufficient statistics only, so each
-    profile evaluation costs one exp() pass over the data.
-    """
-    mean_y = float(np.exp(-gamma * log_w).mean())
-    mean_log_y = -gamma * mean_log_w
-    shape, scale, steps = _gamma_mle_from_stats(mean_y, mean_log_y, shape0)
-    ll = _profile_loglik(log_w.size, gamma, mean_y, mean_log_y, mean_log_w,
-                         shape)
-    return float(ll), shape, scale, steps
-
-
 def _power_means(log_w: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Mean of w**-g at every exponent g of an arithmetic grid.
 
@@ -270,7 +255,8 @@ def _iga_mle(samples):
     """Validated sample, inverse-gamma MLE parameters and Newton steps."""
     x = _validate_samples(samples, 2)
     log_x = np.log(x)
-    _, shape, scale, iters = _profile_at_gamma(log_x, float(log_x.mean()), 1.0)
+    shape, scale, iters = _gamma_mle_from_stats(float(np.exp(-log_x).mean()),
+                                                -float(log_x.mean()))
     return x, GIGaParams(alpha=shape, beta=1.0 / scale, gamma=1.0), iters
 
 

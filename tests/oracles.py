@@ -1,9 +1,10 @@
 """Reference functions that only the tests use.
 
 Densities, the quantile and the mean of the closed-form families, the
-exact law of uncoupled wealth, the inverse of the engine's rescaling and
-a plain gamma MLE on bmnet's inner solver.  No bmnet command calls
-them, so they live with the tests.
+exact law of uncoupled wealth, the inverse of the engine's rescaling, a
+plain gamma MLE on bmnet's inner solver and one evaluation of the GIGa
+profile likelihood.  No bmnet command calls them, so they live with the
+tests.
 """
 
 import math
@@ -12,7 +13,8 @@ import numpy as np
 from scipy.special import gammainccinv, gammaln
 
 from bmnet.distributions import GIGaParams, LNParams, giga_logpdf, ln_logpdf
-from bmnet.fitting import _gamma_mle_from_stats, _validate_samples
+from bmnet.fitting import (_gamma_mle_from_stats, _profile_loglik,
+                           _validate_samples)
 
 
 def giga_pdf(p: GIGaParams, w):
@@ -68,3 +70,18 @@ def gamma_shape_scale_mle(samples):
     shape, scale, _ = _gamma_mle_from_stats(float(y.mean()),
                                             float(np.log(y).mean()))
     return shape, scale
+
+
+def _profile_at_gamma(log_w: np.ndarray, mean_log_w: float, gamma: float,
+                      shape0=None):
+    """Inner gamma MLE for y = w**-gamma plus the profiled GIGa loglik.
+
+    The loglik is assembled from sufficient statistics only, so each
+    profile evaluation costs one exp() pass over the data.
+    """
+    mean_y = float(np.exp(-gamma * log_w).mean())
+    mean_log_y = -gamma * mean_log_w
+    shape, scale, steps = _gamma_mle_from_stats(mean_y, mean_log_y, shape0)
+    ll = _profile_loglik(log_w.size, gamma, mean_y, mean_log_y, mean_log_w,
+                         shape)
+    return float(ll), shape, scale, steps

@@ -292,6 +292,24 @@ class TestMalformedValues:
                          "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("snapshot_times = 0, 0.5, 1", "snapshot_times = 1, 1.0, 0.5"),
+        ("families = LN, IGa, GIGa", "families = LN, LN"),
+        ("fit_times = 1", "fit_times = 1, 1"),
+    ], ids=["snapshot_times", "families", "fit_times"])
+    def test_repeated_list_entry_exits_2(self, tmp_path, monkeypatch, capsys,
+                                         old, new):
+        text = MINIMAL.replace(old, new).replace(
+            "kind = meanfield", "kind = smallworld\np_sw = 0.1")
+        monkeypatch.setattr(topology, "build_random_smallworld", None)
+        for command in ("simulate", "evolve"):
+            assert cli.main([command, "--config", write_config(tmp_path, text),
+                             "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ")
+            assert "is listed more than once" in err
+        assert not (tmp_path / "x").exists()
+
     def test_oversize_smallworld_exits_2_at_once(self, tmp_path, capsys):
         # about 2.5e13 expected pairs: more memory than any machine has,
         # refused from the expected size before a pair is drawn
@@ -441,20 +459,38 @@ class TestConvergenceCommand:
 
 class TestReproduceCommand:
     def test_figure5_sweep_parameters(self):
-        plan = cli.build_figure_plan(5)
-        gammas = [float(run.dynamics_lines[1].split("=")[1]) for run in plan]
+        plan = cli.build_figure_plan(5, 40, 0.01, 5, 3)
+        gammas = [c.sections["dynamics"]["gamma_eft"] for _, c in plan]
         assert gammas == [0.8, 0.6, 0.5, 0.4]
-        assert all(run.scheme == "milstein" for run in plan)
+        assert all(c.sim.scheme == "milstein" for _, c in plan)
 
     def test_figure3_sweep_parameters(self):
-        plan = cli.build_figure_plan(3)
-        zs = [float(run.dynamics_lines[1].split("=")[1]) for run in plan]
+        plan = cli.build_figure_plan(3, 1000, 0.01, 3, 3)
+        zs = [c.sections["dynamics"]["z"] for _, c in plan]
         assert zs == [0.1, 0.01, 0.003]
-        assert all(run.scheme == "taylor15" for run in plan)
+        assert all(c.sim.scheme == "taylor15" for _, c in plan)
 
     def test_figure1_and_2_histogram_times(self):
-        assert cli.build_figure_plan(1)[0].times == (1.0, 2500.0)
-        assert cli.build_figure_plan(2)[0].times == (1.0, 500.0)
+        for figure, times in ((1, (1.0, 2500.0)), (2, (1.0, 500.0))):
+            (_, config), = cli.build_figure_plan(figure, 1000, 0.01, 3, 3)
+            assert config.sim.snapshot_times == config.fit_times == times
+
+    @pytest.mark.parametrize("args, reason", [
+        (["3", "--N", "2500", "--t-end", "1"],
+         "<figure:regn_z0.003>:6: z*N = 7.5 is not an integer ring degree"),
+        (["5", "--N", "40", "--t-end", "0.5"],
+         "t_end = 0.5 keeps none of figure 5's times"),
+    ], ids=["third-run-ring-degree", "no-figure-time"])
+    def test_config_error_in_any_run_exits_2_before_any_run(
+            self, tmp_path, monkeypatch, capsys, args, reason):
+        def no_run(sim):
+            raise AssertionError("a run started before every config resolved")
+        monkeypatch.setattr(cli, "simulate", no_run)
+        out = tmp_path / "rep"
+        assert cli.main(["reproduce", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and reason in err
+        assert not out.exists()
 
     def test_unknown_figure_exits_2(self, tmp_path):
         with pytest.raises(SystemExit):  # argparse rejects the choice
@@ -463,14 +499,13 @@ class TestReproduceCommand:
     def test_tiny_figure2_run(self, tmp_path):
         out = tmp_path / "rep"
         code = cli.cmd_reproduce(2, out_dir=str(out), N=60, dt=0.01,
-                                 bootstrap_b=9, seed=3, t_end=2.0,
-                                 times=(1.0, 2.0))
+                                 bootstrap_b=9, seed=3, t_end=500.0)
         assert code == 0
         files = sorted(os.listdir(out / "fig2"))
         assert "evolution_rann_p0.003.csv" in files
         assert "gof_rann_p0.003.json" in files
         assert "hist_rann_p0.003_t1.0.csv" in files
-        assert "hist_rann_p0.003_t2.0.csv" in files
+        assert "hist_rann_p0.003_t500.0.csv" in files
         assert "manifest.json" in files
         hist = (out / "fig2" / "hist_rann_p0.003_t1.0.csv").read_text().splitlines()
         assert hist[0] == "bin_left,bin_right,count,density"
@@ -481,8 +516,7 @@ class TestReproduceCommand:
     def _tiny_figure3(out):
         # N = 1000 makes every z * N an integer degree (100, 10 and 3)
         return cli.cmd_reproduce(3, out_dir=str(out), N=1000, dt=0.01,
-                                 bootstrap_b=3, seed=3, t_end=0.05,
-                                 times=(0.05,))
+                                 bootstrap_b=3, seed=3, t_end=1.0)
 
     def test_figure3_manifest_replays_every_run(self, tmp_path):
         out = tmp_path / "rep"
@@ -534,8 +568,7 @@ class TestReproduceCommand:
     def test_tiny_figure5_run(self, tmp_path):
         out = tmp_path / "rep"
         code = cli.cmd_reproduce(5, out_dir=str(out), N=40, dt=0.01,
-                                 bootstrap_b=5, seed=3, t_end=1.0,
-                                 times=(1.0,))
+                                 bootstrap_b=5, seed=3, t_end=1.0)
         assert code == 0
         files = sorted(os.listdir(out / "fig5"))
         assert [f for f in files if f.startswith("evolution_eft_g")] == [

@@ -15,9 +15,9 @@ from bmnet.distributions import GIGaParams, giga_logpdf, giga_sample, ln_sample,
 from bmnet.errors import DegenerateSampleError
 from bmnet.fitting import (GAMMA_SEARCH_RANGE, GAMMA_TOL, _minka_start,
                            _newton_shape, _newton_shape_array,
-                           _power_means, _profile_at_gamma, _profile_scan,
-                           _profile_score, fit_giga, fit_iga, fit_lognormal)
-from oracles import gamma_shape_scale_mle
+                           _power_means, _profile_scan, _profile_score,
+                           fit_giga, fit_iga, fit_lognormal)
+from oracles import _profile_at_gamma, gamma_shape_scale_mle
 
 
 class TestLognormalFit:

@@ -9,9 +9,14 @@ p_sw = 0.05, mean-field, effective-field gamma = 0.5) under both
 schemes, plus one ``gaussian:0.1`` initial state.  ``bmnet convergence``
 is pinned for both schemes at 200 paths, and ``bmnet reproduce`` for
 figure 2 (histogram mode, small-world Milstein: N = 60, B = 9,
-t_end = 2, times 1 and 2) and figure 5 (evolution mode, four EFT runs:
-N = 40, B = 5, t_end = 1, time 1), both at seed 3.  The ``reproduce``
-hashes were recorded at format version 6, and their manifests again at 7.
+t_end = 500, so the figure's times 1 and 500) and figure 5 (evolution
+mode, four EFT runs: N = 40, B = 5, t_end = 1, so time 1), both at seed
+3.  The figure-5 hashes were recorded at format version 6, and its
+manifest again at 7; the figure-2 hashes were recorded at 7.  Every
+figure's plan is pinned as well: the SHA-256 of the JSON list of
+``[label, config_to_text(config)]`` that ``cli.build_figure_plan`` gives
+at N = 1000, dt = 0.01, B = 99, seed 0 and the figure's full t_end,
+which fixes each run's label, swept value, scheme and times.
 ``bmnet theta`` is pinned at its defaults and at J = 0.2, sigma2 = 0.05;
 its table was recorded at format version 7.
 
@@ -61,10 +66,12 @@ To print the current hashes in the format of ``GOLDEN_TEXT``, run
 """
 
 import hashlib
+import json
 
 import pytest
 
 from bmnet import cli
+from bmnet.config import config_to_text
 
 CONFIG = """\
 [model]
@@ -105,8 +112,8 @@ CASES["smallworld-milstein-gaussian"] = ("smallworld", "milstein",
 # sha256sum-style lines: <hash>  <case>/<command>/<file>
 # reduced sizes of the pinned ``reproduce`` runs, by figure
 REPRODUCE = {
-    2: dict(N=60, bootstrap_b=9, seed=3, t_end=2.0, times=(1.0, 2.0)),
-    5: dict(N=40, bootstrap_b=5, seed=3, t_end=1.0, times=(1.0,)),
+    2: dict(N=60, bootstrap_b=9, seed=3, t_end=500.0),
+    5: dict(N=40, bootstrap_b=5, seed=3, t_end=1.0),
 }
 
 # options of the pinned ``theta`` tables, by case
@@ -184,16 +191,21 @@ ed187ea83c6dc8846844ebb598f40abddd05669a38ab6e697a55e818f9a0fc88  smallworld-mil
 23235c801fa1dd29afc184a4007bdd477ae20dd624442f60a44c9fffed0b490c  smallworld-milstein-gaussian/evolve/manifest.json
 ede9ec5c705ebd763ba764c913703216dded4448ecffb8dba28971c4b19d7ed1  convergence-milstein/convergence/convergence_milstein.json
 09092dc80be30673ec52ec737423dafc749b2cef07220a6ef2408d2f037e97be  convergence-taylor15/convergence/convergence_taylor15.json
-0469d3c4f259462bef23f29257b46f82995156eba5c2dbec3083692513eadb8b  fig2/reproduce/evolution_rann_p0.003.csv
-9111574f71430d24ceed6b822ef3d75df4cfa857e536aec1f506b35972dc2f17  fig2/reproduce/gof_rann_p0.003.json
+8c9196edfc16a8cfd41d9d1bb1457dbf947c48a8ea586e1a5881dba2affc832e  fig2/reproduce/evolution_rann_p0.003.csv
+02be2496a52a7ed1781b93dd6d62a1842f1ab157ceacf1e7b813a9c2988bdd63  fig2/reproduce/gof_rann_p0.003.json
 511c489aca1a8dd36b7e083aee8db413cc7da59acda29b4000a793e1909d646a  fig2/reproduce/hist_rann_p0.003_t1.0.csv
-76aad8aacff4bcf7c23dd0562c942ae1fda858ae420e336a5b1d5bb4880abaf5  fig2/reproduce/hist_rann_p0.003_t2.0.csv
-94ccd6e8cf917fc57ea0592fc0684c01b46b7c913637c665cdc9bfa5eff282cc  fig2/reproduce/manifest.json
+7e03358d126ff50f4d3a76d9e9abac1d413032ae9c0a91a91ddaedb16cacaede  fig2/reproduce/hist_rann_p0.003_t500.0.csv
+3545d1f57f3fa202c0a1ba90e02794ec35ab0b2ac371e8278807c8df2724f4f3  fig2/reproduce/manifest.json
 e426be53d9490c22c1217fcb31324e78f5a1be6cea42113aa77ac07eae6bdbe0  fig5/reproduce/evolution_eft_g0.4.csv
 16b3698d55a6b9c415e8ed58e371812978214ccf2f0145b5dc566e8282684b76  fig5/reproduce/evolution_eft_g0.5.csv
 b36467de382541a7d9c00111275baff23c3457c807f87415f336f443c850dc85  fig5/reproduce/evolution_eft_g0.6.csv
 f3103ba19acb3569629cc2fc426d3ccff4c6e4477dc33025d6dbb494afe374e6  fig5/reproduce/evolution_eft_g0.8.csv
 57817b0c00b88cd0f3060775dec9f89823d4d4f9b9f0d7f249acfef75f7cc786  fig5/reproduce/manifest.json
+6e5f3276bb349643d12bc8e3b53652d96ae439042f6e9a1fd61c3ef8357464af  fig1/plan/runs
+3bca2db36df0ad369eba1a6068e8e8e7d31c1e8106aba46b0ea4f57bbd478958  fig2/plan/runs
+4bac678b720f9d418037702c156b2aa28aa39ba81472b2cc5efeec76113cd1b7  fig3/plan/runs
+4719c36c8e42eb1e1021f49973a89bb0c3e76206ff9dec72b05559fa86bfb29a  fig4/plan/runs
+53f65166f9d7ecddd17b622dc03efbcf1f3073c4471b41aebddfc548c6cd5974  fig5/plan/runs
 94d65a0f1c8727ddf3082a3027073990cc6ed40db249b74de40311cf4970133b  theta-default/theta/theta_table.csv
 d859ead8aad82708fe87f5f3dd7cf60e87207f2b6363ca088834a71dbf2b9364  theta-J0.2/theta/theta_table.csv
 """
@@ -219,6 +231,11 @@ def _hashes(out_dir) -> dict:
 def _run(tmp_path, case, command) -> dict:
     """Hashes of what ``bmnet <command>`` writes for one golden case."""
     out = tmp_path / "out"
+    if command == "plan":
+        plan = cli.build_figure_plan(int(case.removeprefix("fig")), N=1000,
+                                     dt=0.01, bootstrap_b=99, seed=0)
+        text = json.dumps([[label, config_to_text(c)] for label, c in plan])
+        return {"runs": hashlib.sha256(text.encode()).hexdigest()}
     if command == "reproduce":
         figure = int(case.removeprefix("fig"))
         assert cli.cmd_reproduce(figure, out_dir=str(out), dt=0.01,
@@ -257,6 +274,12 @@ def test_reproduce_output_unchanged(tmp_path, figure):
     assert _run(tmp_path, case, "reproduce") == GOLDEN[f"{case}/reproduce"]
 
 
+@pytest.mark.parametrize("figure", [1, 2, 3, 4, 5])
+def test_figure_plan_unchanged(tmp_path, figure):
+    case = f"fig{figure}"
+    assert _run(tmp_path, case, "plan") == GOLDEN[f"{case}/plan"]
+
+
 @pytest.mark.parametrize("case", list(THETA))
 def test_theta_output_unchanged(tmp_path, case):
     assert _run(tmp_path, case, "theta") == GOLDEN[f"{case}/theta"]
@@ -275,6 +298,7 @@ if __name__ == "__main__":
     runs += [(f"convergence-{s}", "convergence")
              for s in ("milstein", "taylor15")]
     runs += [(f"fig{figure}", "reproduce") for figure in REPRODUCE]
+    runs += [(f"fig{figure}", "plan") for figure in range(1, 6)]
     runs += [(case, "theta") for case in THETA]
     for case, command in runs:
         with tempfile.TemporaryDirectory() as tmp, \
