@@ -15,12 +15,21 @@ comma separated, with no entry repeated.  ``init`` is ``ones``,
 ``scheme`` defaults by dynamics kind: the ring lattice uses the order-1.5
 Taylor scheme, everything else Milstein.  The small-world topology seed
 is the run seed, so a config fully determines its realization.
+
+Each rule is checked in one place, and all but one before any graph is
+drawn: :meth:`~bmnet.engine.SimConfig.validate` checks the run (N,
+scheme, init, the dt grid of t_end and the snapshot times) on a config
+with no dynamics yet, the parse checks the ``[fit]`` schedule against
+it, and only then does a ``topology.build_*`` function, whose own checks
+draw nothing, build the graph.  The rules that read the built graph
+come last; of them a config can break only the positive coupling
+divisor, with ``p_sw = 0``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import engine, topology
 from .engine import EFTDynamics, MeanFieldDynamics, ModelParams, SimConfig
@@ -52,22 +61,6 @@ class ExperimentConfig:
     fit_times: tuple
     bootstrap_b: int
     sections: dict
-
-    def validate(self) -> None:
-        try:
-            self.sim.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        unknown = set(self.families) - set(FAMILIES)
-        if unknown:
-            raise ConfigError(f"unknown families {sorted(unknown)}")
-        missing = [t for t in self.fit_times if t not in self.sim.snapshot_times]
-        if missing:
-            raise ConfigError(
-                f"fit_times {missing} are not snapshot_times")
-        if self.bootstrap_b < 1:
-            raise ConfigError(
-                f"bootstrap_B must be >= 1, got {self.bootstrap_b}")
 
 
 def _parse_sections(text: str, origin: str) -> dict:
@@ -170,10 +163,7 @@ def parse_config_text(text: str, origin: str = "<config>",
         if required not in sections:
             raise ConfigError(f"missing section [{required}]", origin)
 
-    # every value is checked here, before any topology is built
     sigma2, J = _model(sections)
-    params = ModelParams.from_sigma2(sigma2, J)
-
     n_agents = _get(sections, "run", "N", int)
     dt = _get(sections, "run", "dt", _finite)
     t_end = _get(sections, "run", "t_end", _finite)
@@ -190,70 +180,71 @@ def parse_config_text(text: str, origin: str = "<config>",
     kind = _get(sections, "dynamics", "kind", str)
     if kind not in _KINDS:
         raise ConfigError(f"unknown dynamics kind {kind!r}; expected {_KINDS}")
+    extra = _KIND_EXTRA_KEY.get(kind)
     for key in ("z", "p_sw", "gamma_eft"):
-        if key in sections.get("dynamics", {}) and _KIND_EXTRA_KEY.get(kind) != key:
+        if key in sections.get("dynamics", {}) and key != extra:
             _, where = sections["dynamics"][key]
             raise ConfigError(f"key {key!r} not valid for kind {kind!r}", where)
     if kind == "eft" and J == 0:
         raise ConfigError("eft dynamics needs J > 0: theta is undefined at "
                           "J = 0", sections["model"]["J"][1])
-    if not scheme:
-        scheme = _DEFAULT_SCHEME.get(kind, engine.MILSTEIN)
-    if scheme not in engine.SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected {engine.SCHEMES}")
+    value = _get(sections, "dynamics", extra, _finite) if extra else None
+    if kind == "ring":
+        degree = value * n_agents
+        if abs(degree - round(degree)) > 1e-9:
+            raise ConfigError(f"z*N = {degree} is not an integer ring degree",
+                              sections["dynamics"]["z"][1])
 
+    sim = SimConfig(params=ModelParams.from_sigma2(sigma2, J), dynamics=None,
+                    scheme=scheme or _DEFAULT_SCHEME.get(kind, engine.MILSTEIN),
+                    N=n_agents, dt=dt, t_end=t_end,
+                    snapshot_times=snapshot_times,
+                    init=init, init_sd=init_sd, seed=seed)
     try:
-        if kind == "complete":
-            dynamics = topology.build_complete(n_agents)
-        elif kind == "ring":
-            z = _get(sections, "dynamics", "z", _finite)
-            n = z * n_agents
-            if abs(n - round(n)) > 1e-9:
-                raise ConfigError(f"z*N = {n} is not an integer ring degree",
-                                  sections["dynamics"]["z"][1])
-            dynamics = topology.build_regular_ring(n_agents, int(round(n)))
-        elif kind == "smallworld":
-            p_sw = _get(sections, "dynamics", "p_sw", _finite)
-            dynamics = topology.build_random_smallworld(n_agents, p_sw, seed)
-        elif kind == "meanfield":
-            dynamics = MeanFieldDynamics()
-        else:
-            gamma_eft = _get(sections, "dynamics", "gamma_eft", _finite)
-            dynamics = EFTDynamics(gamma_eft)
+        sim.validate()
+        unknown = set(families) - set(FAMILIES)
+        if unknown:
+            raise ValueError(f"unknown families {sorted(unknown)}")
+        missing = [t for t in fit_times if t not in snapshot_times]
+        if missing:
+            raise ValueError(f"fit_times {missing} are not snapshot_times")
+        if bootstrap_b < 1:
+            raise ValueError(f"bootstrap_B must be >= 1, got {bootstrap_b}")
+        sim = replace(sim, dynamics=_build(kind, value, n_agents, seed))
+        sim.validate()  # now with the rules that read the graph
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sim = SimConfig(params=params, dynamics=dynamics, scheme=scheme,
-                    N=n_agents, dt=dt, t_end=t_end,
-                    snapshot_times=tuple(snapshot_times),
-                    init=init, init_sd=init_sd, seed=seed)
-
+    dynamics_text = {"kind": kind}
+    if extra:
+        dynamics_text[extra] = value
     resolved = {
         "model": {"sigma2": sigma2, "J": J},
-        "dynamics": _resolved_dynamics_section(kind, sections),
+        "dynamics": dynamics_text,
         "run": {"N": n_agents, "dt": dt, "t_end": t_end,
                 "snapshot_times": ", ".join(repr(t) for t in snapshot_times),
-                "scheme": scheme, "init": _init_text(init, init_sd),
+                "scheme": sim.scheme, "init": _init_text(init, init_sd),
                 "seed": seed},
     }
     if "fit" in sections:
         resolved["fit"] = {"families": ", ".join(families),
                            "fit_times": ", ".join(repr(t) for t in fit_times),
                            "bootstrap_B": bootstrap_b}
-
-    config = ExperimentConfig(sim=sim, families=tuple(families),
-                              fit_times=tuple(fit_times),
-                              bootstrap_b=bootstrap_b, sections=resolved)
-    config.validate()
-    return config
+    return ExperimentConfig(sim=sim, families=families, fit_times=fit_times,
+                            bootstrap_b=bootstrap_b, sections=resolved)
 
 
-def _resolved_dynamics_section(kind: str, sections: dict) -> dict:
-    out = {"kind": kind}
-    extra = _KIND_EXTRA_KEY.get(kind)
-    if extra:
-        out[extra] = float(sections["dynamics"][extra][0])
-    return out
+def _build(kind: str, value, n_agents: int, seed: int):
+    """The dynamics of ``kind``, whose extra key holds ``value``."""
+    if kind == "complete":
+        return topology.build_complete(n_agents)
+    if kind == "ring":
+        return topology.build_regular_ring(n_agents, round(value * n_agents))
+    if kind == "smallworld":
+        return topology.build_random_smallworld(n_agents, value, seed)
+    if kind == "meanfield":
+        return MeanFieldDynamics()
+    return EFTDynamics(value)
 
 
 def _parse_init(value: str):
@@ -266,8 +257,6 @@ def _parse_init(value: str):
             sd = _finite(value.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad gaussian init sd: {exc}") from exc
-        if sd <= 0:
-            raise ConfigError(f"gaussian init sd must be positive, got {sd}")
         return engine.INIT_GAUSSIAN, sd
     raise ConfigError(f"unknown init {value!r}; expected ones or gaussian[:sd]")
 

@@ -428,7 +428,7 @@ class SimConfig:
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"unknown scheme {self.scheme!r}; expected {SCHEMES}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.dt <= 0:

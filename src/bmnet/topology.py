@@ -20,7 +20,6 @@ import math
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
 from .engine import COMPLETE, RANDOM_SMALLWORLD, REGULAR_RING, NetworkDynamics
 
@@ -58,6 +57,8 @@ def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkDynamics:
     degree slot.  A graph whose build would not fit in physical memory
     is refused with ValueError before anything is drawn.
     """
+    import scipy.sparse as sp  # only this graph needs it
+
     if N < 2:
         raise ValueError(f"small-world network needs N >= 2, got {N}")
     if not 0.0 <= p_sw <= 1.0:

@@ -279,9 +279,20 @@ class TestMalformedValues:
         ("snapshot_times = 0, 0.5, 1", "snapshot_times = 0, inf"),
         ("seed = 42", "seed = 42\ninit = gaussian:nan"),
         ("seed = 42", "seed = 42\ninit = gaussian:wide"),
+        ("families = LN, IGa, GIGa", "families = LN, Bogus"),
+        ("fit_times = 1", "fit_times = 0.75"),
+        ("bootstrap_B = 19", "bootstrap_B = 0"),
+        ("t_end = 1", "t_end = 1.005"),
+        ("snapshot_times = 0, 0.5, 1", "snapshot_times = 0, 0.505, 1"),
+        ("snapshot_times = 0, 0.5, 1", "snapshot_times = 0, 0.5, 1, 2"),
+        ("dt = 0.01", "dt = -0.01"),
+        ("N = 100", "N = 0"),
     ], ids=["seed-negative", "seed-2**64", "sigma2-nan", "J-nan", "J-inf",
             "J-negative", "eft-J-0", "t_end-inf", "dt-nan",
-            "snapshot-inf", "init-sd-nan", "init-sd-text"])
+            "snapshot-inf", "init-sd-nan", "init-sd-text", "unknown-family",
+            "fit-time-not-snapshot", "bootstrap_B-0", "t_end-off-grid",
+            "snapshot-off-grid", "snapshot-after-t_end", "dt-negative",
+            "N-0"])
     def test_evolve_exits_2(self, tmp_path, monkeypatch, old, new):
         assert old in MINIMAL
         # a smallworld config would build its graph from the seed
@@ -308,6 +319,15 @@ class TestMalformedValues:
             err = capsys.readouterr().err
             assert err.startswith("config error: ")
             assert "is listed more than once" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_zero_smallworld_probability_exits_2(self, tmp_path, capsys):
+        # checked on the built graph: it leaves no coupling divisor
+        text = MINIMAL.replace("kind = meanfield",
+                               "kind = smallworld\np_sw = 0")
+        assert cli.main(["evolve", "--config", write_config(tmp_path, text),
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "n_divisor must be positive" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_oversize_smallworld_exits_2_at_once(self, tmp_path, capsys):

@@ -258,6 +258,29 @@ class TestRandomSmallWorld:
         assert top.N == 200  # ensemble size is N regardless of isolation
         assert np.any(top.degrees == 0)
 
+    def test_only_this_graph_imports_scipy_sparse(self, tmp_path):
+        # the other graphs store no adjacency, so their runs never load it
+        ring, smallworld = tmp_path / "ring.ini", tmp_path / "sw.ini"
+        model = "[model]\nsigma2 = 0.05\nJ = 0.1\n\n"
+        run = ("\n[run]\nN = 100\ndt = 0.1\nt_end = 1\nsnapshot_times = 1\n"
+               "seed = 0\n")
+        ring.write_text(model + "[dynamics]\nkind = ring\nz = 0.04\n" + run)
+        smallworld.write_text(
+            model + "[dynamics]\nkind = smallworld\np_sw = 0.05\n" + run)
+        script = ("import sys\n"
+                  "import bmnet.cli\n"
+                  "from bmnet.config import load_config\n"
+                  "load_config(sys.argv[1])\n"
+                  "print('scipy.sparse' in sys.modules)\n"
+                  "load_config(sys.argv[2])\n"
+                  "print('scipy.sparse' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(topology.__file__))
+        out = subprocess.run([sys.executable, "-c", script, str(ring),
+                              str(smallworld)],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]
+
 
 @pytest.mark.parametrize("top", [
     build_complete(17),
