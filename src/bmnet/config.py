@@ -16,14 +16,14 @@ comma separated, with no entry repeated.  ``init`` is ``ones``,
 Taylor scheme, everything else Milstein.  The small-world topology seed
 is the run seed, so a config fully determines its realization.
 
-Each rule is checked in one place, and all but one before any graph is
-drawn: :meth:`~bmnet.engine.SimConfig.validate` checks the run (N,
-scheme, init, the dt grid of t_end and the snapshot times) on a config
-with no dynamics yet, the parse checks the ``[fit]`` schedule against
-it, and only then does a ``topology.build_*`` function, whose own checks
-draw nothing, build the graph.  The rules that read the built graph
-come last; of them a config can break only the positive coupling
-divisor, with ``p_sw = 0``.
+Each rule is checked in one place, and all before any graph is drawn:
+the parse checks the ring degree and the positive coupling divisor
+(``p_sw = 0`` leaves none), :meth:`~bmnet.engine.SimConfig.validate`
+checks the run (N, scheme, init, the dt grid of t_end and the snapshot
+times) on a config with no dynamics yet, the parse checks the ``[fit]``
+schedule against it, and only then does a ``topology.build_*``
+function, whose own checks draw nothing, build the graph.  No rule is
+checked on the built graph.
 """
 
 from __future__ import annotations
@@ -194,6 +194,9 @@ def parse_config_text(text: str, origin: str = "<config>",
         if abs(degree - round(degree)) > 1e-9:
             raise ConfigError(f"z*N = {degree} is not an integer ring degree",
                               sections["dynamics"]["z"][1])
+    elif kind == "smallworld" and value == 0:  # divisor p_sw * N
+        raise ConfigError("topology n_divisor must be positive for network "
+                          "dynamics", sections["dynamics"]["p_sw"][1])
 
     sim = SimConfig(params=ModelParams.from_sigma2(sigma2, J), dynamics=None,
                     scheme=scheme or _DEFAULT_SCHEME.get(kind, engine.MILSTEIN),
@@ -211,7 +214,6 @@ def parse_config_text(text: str, origin: str = "<config>",
         if bootstrap_b < 1:
             raise ValueError(f"bootstrap_B must be >= 1, got {bootstrap_b}")
         sim = replace(sim, dynamics=_build(kind, value, n_agents, seed))
-        sim.validate()  # now with the rules that read the graph
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -99,10 +99,12 @@ def giga_sample(p: GIGaParams, count: int, seed) -> np.ndarray:
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    x = rng.gamma(p.alpha, size=count)
+    x = rng.standard_gamma(p.alpha, size=count)
     # a denormal gamma draw would map to inf; clip at the smallest normal
-    x = np.maximum(x, np.finfo(float).tiny)
-    return p.beta * x ** (-1.0 / p.gamma)
+    np.maximum(x, np.finfo(float).tiny, out=x)
+    # in place; an array ** scalar keeps numpy's reciprocal path at -1
+    x **= -1.0 / p.gamma
+    return np.multiply(x, p.beta, out=x)
 
 
 def theta_of_gamma(J: float, sigma2: float, gamma: float) -> float:

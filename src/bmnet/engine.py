@@ -147,9 +147,12 @@ def step_noise(gen: NoiseGenerator, step: int, dt: float,
     """
     for j in range(z.shape[0]):
         gen.at(step + j).standard_normal(out=z[j])
-    db, dz = _increments(z)
-    # products and sums below are commutative, so the in-place forms
-    # give the same bits as sqrt(dt) * z and (0.5 dt^1.5)(z0 + z1/sqrt(3))
+    return _wiener_increments(*_increments(z), dt)
+
+
+def _wiener_increments(db: np.ndarray, dz, dt: float) -> tuple:
+    """Turn normals z0 in ``db`` and z1 in ``dz`` (or None) in place into
+    dB = sqrt(dt) z0 and dZ = (0.5 dt^1.5)(z0 + z1/sqrt(3)), bit for bit."""
     if dz is not None:
         np.divide(dz, math.sqrt(3.0), dz)
         np.add(dz, db, dz)
@@ -435,9 +438,7 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError(
-                f"t_end={self.t_end} is not a multiple of dt={self.dt}")
+        self._grid_step(self.t_end, f"t_end={self.t_end}")
         if self.init not in (INIT_ONES, INIT_GAUSSIAN):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == INIT_GAUSSIAN and not 0 < self.init_sd:
@@ -457,14 +458,15 @@ class SimConfig:
 
     def snapshot_steps(self) -> list:
         """Map each snapshot time onto the dt grid; reject misaligned times."""
-        out = []
-        for t in self.snapshot_times:
-            k = int(round(t / self.dt))
-            if abs(k * self.dt - t) > 1e-9 * max(1.0, abs(t)):
-                raise ValueError(
-                    f"snapshot time {t} is not a multiple of dt={self.dt}")
-            out.append(k)
-        return out
+        return [self._grid_step(t, f"snapshot time {t}")
+                for t in self.snapshot_times]
+
+    def _grid_step(self, t: float, name: str) -> int:
+        """The dt-grid step at time t; a ValueError if t is off the grid."""
+        k = int(round(t / self.dt))
+        if abs(k * self.dt - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValueError(f"{name} is not a multiple of dt={self.dt}")
+        return k
 
     @property
     def n_steps(self) -> int:
@@ -658,8 +660,7 @@ def strong_convergence_study(scheme: str, dts, n_paths: int,
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
     z = rng.standard_normal((2, m_fine, n_paths))
-    db_fine = math.sqrt(dt_fine) * z[0]
-    dz_fine = 0.5 * dt_fine ** 1.5 * (z[0] + z[1] / math.sqrt(3.0))
+    db_fine, dz_fine = _wiener_increments(z[0], z[1], dt_fine)
 
     b_total = db_fine.sum(axis=0)
     w_exact = np.exp(math.sqrt(2.0) * sigma * b_total - sigma * sigma * t_end)

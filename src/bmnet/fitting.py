@@ -9,11 +9,14 @@ whose inner solves run as one vectorised Newton call, followed by
 safeguarded Newton steps on the analytic profile score inside the best
 bracket, where each inner solve starts from the previous shape.  The IGa
 fit is the gamma = 1 profile, and the lognormal fit is closed form.
+
+Each family has one estimator, for the observed fit and every bootstrap
+refit alike; its report sums the log-likelihood only when that is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import digamma, gammaln, zeta
@@ -32,6 +35,8 @@ _NEWTON_MAX_STEPS = 8
 class FitReport:
     """Outcome of a maximum-likelihood fit.
 
+    ``loglik`` sums the log-density over ``sample``, the array fitted and
+    not a copy, when read; it is -inf for a GIGa fit that did not converge.
     ``gamma_hat`` and ``alpha_gamma`` expose the tail observables of the
     inverse-gamma families; they are None for the lognormal fit.
     ``at_boundary`` flags a GIGa exponent pinned at the search boundary
@@ -43,11 +48,21 @@ class FitReport:
 
     family: str
     params: GIGaParams | LNParams
-    loglik: float
-    n: int
+    sample: np.ndarray = field(repr=False, compare=False)
     converged: bool
     iterations: int
     at_boundary: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.sample.size
+
+    @property
+    def loglik(self) -> float:
+        if not self.converged:
+            return -np.inf
+        logpdf = ln_logpdf if self.family == "LN" else giga_logpdf
+        return float(np.sum(logpdf(self.params, self.sample)))
 
     @property
     def gamma_hat(self):
@@ -62,14 +77,9 @@ class FitReport:
         return None
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.params, GIGaParams):
-            params = {"alpha": self.params.alpha, "beta": self.params.beta,
-                      "gamma": self.params.gamma}
-        else:
-            params = {"mu": self.params.mu, "s": self.params.s}
         return {
             "family": self.family,
-            "params": params,
+            "params": asdict(self.params),
             "loglik": self.loglik,
             "n": self.n,
             "converged": self.converged,
@@ -90,23 +100,16 @@ def _validate_samples(samples, min_n: int) -> np.ndarray:
     return x
 
 
-def _ln_mle(samples):
-    """Validated sample and its lognormal MLE parameters."""
+def fit_lognormal(samples) -> FitReport:
+    """Closed-form lognormal MLE: mu = mean(log w), s^2 = population var(log w)."""
     x = _validate_samples(samples, 2)
     log_x = np.log(x)
-    mu = float(log_x.mean())
     s2 = float(log_x.var())
     if s2 <= 0.0:
         raise DegenerateSampleError("all samples equal; lognormal fit undefined")
-    return x, LNParams(mu=mu, s=float(np.sqrt(s2)))
-
-
-def fit_lognormal(samples) -> FitReport:
-    """Closed-form lognormal MLE: mu = mean(log w), s^2 = population var(log w)."""
-    x, params = _ln_mle(samples)
-    loglik = float(np.sum(ln_logpdf(params, x)))
-    return FitReport(family="LN", params=params, loglik=loglik,
-                     n=x.size, converged=True, iterations=1)
+    params = LNParams(mu=float(log_x.mean()), s=float(np.sqrt(s2)))
+    return FitReport(family="LN", params=params, sample=x, converged=True,
+                     iterations=1)
 
 
 def _minka_start(s):
@@ -251,26 +254,30 @@ def _profile_score(log_w: np.ndarray, mean_log_w: float, gamma: float,
     return score, curvature, shape, scale
 
 
-def _iga_mle(samples):
-    """Validated sample, inverse-gamma MLE parameters and Newton steps."""
+def fit_iga(samples) -> FitReport:
+    """Inverse-gamma MLE via the reciprocal transform y = 1/w."""
     x = _validate_samples(samples, 2)
     log_x = np.log(x)
     shape, scale, iters = _gamma_mle_from_stats(float(np.exp(-log_x).mean()),
                                                 -float(log_x.mean()))
-    return x, GIGaParams(alpha=shape, beta=1.0 / scale, gamma=1.0), iters
+    params = GIGaParams(alpha=shape, beta=1.0 / scale, gamma=1.0)
+    return FitReport(family="IGa", params=params, sample=x, converged=True,
+                     iterations=iters)
 
 
-def fit_iga(samples) -> FitReport:
-    """Inverse-gamma MLE via the reciprocal transform y = 1/w."""
-    x, params, iters = _iga_mle(samples)
-    loglik = float(np.sum(giga_logpdf(params, x)))
-    return FitReport(family="IGa", params=params, loglik=loglik,
-                     n=x.size, converged=True, iterations=iters)
+def fit_giga(samples) -> FitReport:
+    """Three-parameter GIGa MLE by profile likelihood over the exponent.
 
-
-def _giga_mle(samples):
-    """Validated sample, GIGa MLE parameters, whether beta and the shape
-    came out finite, profile evaluations and the boundary flag."""
+    Scans GAMMA_SEARCH_RANGE, [0.05, 4], on 28 points, then refines the
+    best bracket by safeguarded Newton steps on the profile score until
+    a step moves gamma by at most GAMMA_TOL, 1e-4 (three or four score
+    evaluations).  Ties in the scan resolve to the smallest gamma (flat
+    profiles arise for near-lognormal data).  Where the score at the best
+    scan point points out of the range, the fit returns that end exactly;
+    boundary solutions are flagged, not errored.  A fit whose beta (at
+    |log beta| >= 700) or shape is not finite reports ``converged`` False
+    and a placeholder beta of 1.
+    """
     x = _validate_samples(samples, 10)
     lo, hi = GAMMA_SEARCH_RANGE
     # the profile of w / exp(shift) peaks where that of w does; with
@@ -328,22 +335,6 @@ def _giga_mle(samples):
     # keep the report inspectable even when beta over/underflowed
     params = GIGaParams(alpha=shape, beta=beta if converged else 1.0,
                         gamma=float(gam))
-    return x, params, converged, evals, at_boundary
-
-
-def fit_giga(samples) -> FitReport:
-    """Three-parameter GIGa MLE by profile likelihood over the exponent.
-
-    Scans GAMMA_SEARCH_RANGE, [0.05, 4], on 28 points, then refines the
-    best bracket by safeguarded Newton steps on the profile score until
-    a step moves gamma by at most GAMMA_TOL, 1e-4 (three or four score
-    evaluations).  Ties in the scan resolve to the smallest gamma (flat
-    profiles arise for near-lognormal data).  Where the score at the best
-    scan point points out of the range, the fit returns that end exactly;
-    boundary solutions are flagged, not errored.
-    """
-    x, params, converged, evals, at_boundary = _giga_mle(samples)
-    loglik = float(np.sum(giga_logpdf(params, x))) if converged else -np.inf
-    return FitReport(family="GIGa", params=params, loglik=loglik,
-                     n=x.size, converged=converged, iterations=evals,
+    return FitReport(family="GIGa", params=params, sample=x,
+                     converged=converged, iterations=evals,
                      at_boundary=at_boundary)

@@ -2,13 +2,14 @@
 
 Because the candidate parameters are estimated from the data, the
 asymptotic KS null distribution does not apply; significance is
-calibrated by refitting the same family on synthetic replicates drawn
-from the fitted law and comparing their KS statistics to the observed
-one.  A p-value needs only whether each replicate's distance reaches
-the observed one, so only the observed distance is computed exactly.
-Replicate seeds derive from (seed, replicate index), so the procedure
-is deterministic and a large bootstrap splits its replicates over
-forked processes without changing a count.
+calibrated by refitting the family, with the estimator that fitted the
+data, on synthetic replicates drawn from the fitted law and comparing
+their KS statistics to the observed one; a fit that did not converge is
+not scored.  A p-value needs only whether each replicate's distance
+reaches the observed one, so only the observed distance is computed
+exactly.  Replicate seeds derive from (seed, replicate index), so the
+procedure is deterministic and a large bootstrap splits its replicates
+over forked processes without changing a count.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ import numpy as np
 from . import _fork
 from .distributions import giga_cdf, giga_sample, ln_cdf, ln_sample
 from .errors import DegenerateSampleError
-from .fitting import (FitReport, _giga_mle, _iga_mle, _ln_mle, fit_giga,
-                      fit_iga, fit_lognormal)
+from .fitting import FitReport, fit_giga, fit_iga, fit_lognormal
 
 FAMILIES = ("LN", "IGa", "GIGa")
 
 _FIT = {"LN": fit_lognormal, "IGa": fit_iga, "GIGa": fit_giga}
-# bootstrap refits: the same fits without the log-likelihood, which the
-# bootstrap never reads; each returns (sample, params, ...)
-_REFIT = {"LN": _ln_mle, "IGa": _iga_mle, "GIGa": _giga_mle}
 _CDF = {"LN": ln_cdf, "IGa": giga_cdf, "GIGa": giga_cdf}
 _SAMPLE = {"LN": ln_sample, "IGa": giga_sample, "GIGa": giga_sample}
 
@@ -137,8 +134,10 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
     synthetic samples of the same size drawn from the fitted law; the
     p-value is the fraction of the B replicates at least as extreme.
     Only that decision is made for each replicate, not its exact
-    distance.  Replicates whose refit fails are discarded and counted;
-    they stay in the denominator B as not extreme.  For at least
+    distance.  The observed fit and every refit go through ``_FIT``.  An
+    observed fit that does not converge raises DegenerateSampleError;
+    replicates whose refit fails or does not converge are discarded and
+    counted, and stay in the denominator B as not extreme.  For at least
     ``_fork._FORK_MIN_DRAWS`` synthetic values in all, on two CPUs or
     more, forked processes take contiguous ranges of the replicates; the
     report is the same.
@@ -149,6 +148,8 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
         raise ValueError(f"bootstrap size must be >= 1, got {B}")
     x = np.asarray(samples, dtype=float).ravel()
     fit = _FIT[family](x)
+    if not fit.converged:
+        raise DegenerateSampleError(f"{family} fit did not converge")
     cdf = _CDF[family]
     d_obs = ks_statistic(x, lambda v: cdf(fit.params, v))
     n = x.size
@@ -159,11 +160,13 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
             rep_seed = np.random.SeedSequence([int(seed), b])
             synth = _SAMPLE[family](fit.params, n, rep_seed)
             try:
-                refit_params = _REFIT[family](synth)[1]
+                refit = _FIT[family](synth)
             except (DegenerateSampleError, ValueError):
+                refit = None
+            if refit is None or not refit.converged:
                 discarded += 1
                 continue
-            d_b = _ks_distance(synth, lambda v: cdf(refit_params, v), d_obs)
+            d_b = _ks_distance(synth, lambda v: cdf(refit.params, v), d_obs)
             if d_b >= d_obs:
                 exceed += 1
         return exceed, discarded

@@ -330,6 +330,15 @@ class TestMalformedValues:
         assert "n_divisor must be positive" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_zero_smallworld_probability_refused_before_the_build(
+            self, monkeypatch):
+        # p_sw = 0 leaves no coupling divisor; no graph need be drawn
+        text = MINIMAL.replace("kind = meanfield",
+                               "kind = smallworld\np_sw = 0")
+        monkeypatch.setattr(topology, "build_random_smallworld", None)
+        with pytest.raises(ConfigError, match="n_divisor must be positive"):
+            parse_config_text(text)
+
     def test_oversize_smallworld_exits_2_at_once(self, tmp_path, capsys):
         # about 2.5e13 expected pairs: more memory than any machine has,
         # refused from the expected size before a pair is drawn

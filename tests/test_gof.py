@@ -236,11 +236,13 @@ def brute_force_counts(x, family, B, seed):
         synth = gof._SAMPLE[family](fit.params, x.size,
                                     np.random.SeedSequence([int(seed), b]))
         try:
-            params = gof._REFIT[family](synth)[1]
+            refit = gof._FIT[family](synth)
         except (DegenerateSampleError, ValueError):
+            refit = None
+        if refit is None or not refit.converged:
             discarded += 1
             continue
-        exceed += ks_statistic(synth, lambda v: cdf(params, v)) >= d_obs
+        exceed += ks_statistic(synth, lambda v: cdf(refit.params, v)) >= d_obs
     return exceed, discarded
 
 
@@ -257,18 +259,44 @@ class TestBootstrap:
 
     def test_counts_equal_exact_distances_with_failed_refits(self,
                                                              monkeypatch):
-        refit = gof._REFIT["GIGa"]
-
-        def flaky(synth):
-            if synth[0] < np.median(synth):
-                raise DegenerateSampleError("forced")
-            return refit(synth)
-        monkeypatch.setitem(gof._REFIT, "GIGa", flaky)
+        fit = gof._FIT["GIGa"]
         x = giga_sample(GIGaParams(6.0, 20.0, 0.5), 2000, seed=4)
+
+        def flaky(sample):
+            # replicates only: the observed fit reads a view of x
+            if not np.may_share_memory(sample, x) and \
+                    sample[0] < np.median(sample):
+                raise DegenerateSampleError("forced")
+            return fit(sample)
+        monkeypatch.setitem(gof._FIT, "GIGa", flaky)
         r = ks_pvalue_bootstrap(x, "GIGa", 39, seed=8)
         assert 0 < r.discarded_replicates < 39
         assert (r.exceed_count, r.discarded_replicates) == \
             brute_force_counts(x, "GIGa", 39, 8)
+
+    def test_unconverged_fit_is_not_scored(self):
+        # beyond |log beta| = 700 fit_giga reports a placeholder beta of 1;
+        # the bootstrap refuses it, and evolve leaves the row empty
+        x = giga_sample(GIGaParams(6.0, 20.0, 0.5), 2000, 4) * np.exp(700.0)
+        assert not fit_giga(x).converged
+        with pytest.raises(DegenerateSampleError, match="did not converge"):
+            ks_pvalue_bootstrap(x, "GIGa", 19, seed=4)
+        config = ExperimentConfig(sim=drawn_run(x, seed=4)[0],
+                                  families=("GIGa",), fit_times=(0.0,),
+                                  bootstrap_b=19, sections={})
+        [record] = cli.evolution_records(config, [Snapshot(t=0.0, w=x)])
+        assert record.gof is None and "did not converge" in record.error
+
+    def test_unconverged_refits_are_discarded(self):
+        # the observed fit's log beta just below 700: the refits of most
+        # replicates leave the floats, and each is discarded, not scored
+        x = giga_sample(GIGaParams(6.0, 20.0, 0.5), 2000, seed=4)
+        x *= np.exp(699.99 - np.log(fit_giga(x).params.beta))
+        assert fit_giga(x).converged
+        r = ks_pvalue_bootstrap(x, "GIGa", 19, seed=4)
+        assert 0 < r.discarded_replicates < 19
+        assert (r.exceed_count, r.discarded_replicates) == \
+            brute_force_counts(x, "GIGa", 19, 4)
 
     def test_rejects_zero_replicates(self):
         x = ln_sample(LNParams(0.0, 1.0), 100, seed=0)
@@ -304,8 +332,8 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("family", ["LN", "IGa", "GIGa"])
     def test_refits_skip_the_log_likelihood(self, family, monkeypatch):
-        # only the observed fit's loglik is reported; the B refits must
-        # give the same parameters as the public fits without computing one
+        # the fits sum no log-density: the B refits read only the
+        # parameters, and the observed fit's loglik is summed once read
         x = giga_sample(GIGaParams(6, 20, 0.5), 400, seed=5)
         calls = []
         for name in ("ln_logpdf", "giga_logpdf"):
@@ -314,10 +342,10 @@ class TestBootstrap:
                 return _fn(*args)
             monkeypatch.setattr(fitting, name, counted)
         r = ks_pvalue_bootstrap(x, family, 9, seed=3)
+        assert len(calls) == 0
+        assert np.isfinite(r.fit.loglik)
         assert len(calls) == 1
         assert r.fit == gof._FIT[family](x)
-        synth = gof._SAMPLE[family](r.fit.params, x.size, 11)
-        assert gof._REFIT[family](synth)[1] == gof._FIT[family](synth).params
 
     def test_report_serialization_keys(self):
         x = ln_sample(LNParams(0.0, 1.0), 300, seed=2)
