@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .config import (ExperimentConfig, config_to_text, load_config, load_model,
-                     parse_config_text)
+from .config import (_KINDS, ExperimentConfig, config_to_text, load_config,
+                     load_model, parse_config_text)
 from .distributions import stationary_giga, theta_of_gamma
 from .engine import simulate, strong_convergence_study
 from .errors import ConfigError, PositivityError
@@ -248,20 +248,17 @@ _EVOLUTION_TIMES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0,
                     300.0, 500.0)
 _LONG_EVOLUTION_TIMES = _EVOLUTION_TIMES + (1000.0, 1500.0, 2500.0)
 
-# The published parameter sets, by figure: label prefix, dynamics kind,
-# swept key and its values, scheme, t_end, snapshot and fit times, and
-# whether the figure writes histogram tables.
+# The published parameter sets, by figure: label prefix, dynamics kind
+# (which names the swept key and the scheme), the key's values, t_end,
+# snapshot and fit times, and whether the figure writes histogram tables.
 _FIGURES = {
-    1: ("regn_z", "ring", "z", (0.01,), engine.TAYLOR15, 2500.0,
-        (1.0, 2500.0), True),
-    2: ("rann_p", "smallworld", "p_sw", (0.003,), engine.MILSTEIN, 500.0,
-        (1.0, 500.0), True),
-    3: ("regn_z", "ring", "z", (0.1, 0.01, 0.003), engine.TAYLOR15, 2500.0,
-        _LONG_EVOLUTION_TIMES, False),
-    4: ("rann_p", "smallworld", "p_sw", (0.1, 0.003, 0.002, 0.001),
-        engine.MILSTEIN, 500.0, _EVOLUTION_TIMES, False),
-    5: ("eft_g", "eft", "gamma_eft", (0.8, 0.6, 0.5, 0.4), engine.MILSTEIN,
-        500.0, _EVOLUTION_TIMES, False),
+    1: ("regn_z", "ring", (0.01,), 2500.0, (1.0, 2500.0), True),
+    2: ("rann_p", "smallworld", (0.003,), 500.0, (1.0, 500.0), True),
+    3: ("regn_z", "ring", (0.1, 0.01, 0.003), 2500.0, _LONG_EVOLUTION_TIMES,
+        False),
+    4: ("rann_p", "smallworld", (0.1, 0.003, 0.002, 0.001), 500.0,
+        _EVOLUTION_TIMES, False),
+    5: ("eft_g", "eft", (0.8, 0.6, 0.5, 0.4), 500.0, _EVOLUTION_TIMES, False),
 }
 
 
@@ -272,7 +269,7 @@ def build_figure_plan(figure: int, N: int, dt: float, bootstrap_b: int,
     ``t_end`` below the figure's own keeps the figure times up to it."""
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure id {figure}; expected 1-5")
-    prefix, kind, key, values, scheme, t_full, all_times, _ = _FIGURES[figure]
+    prefix, kind, values, t_full, all_times, _ = _FIGURES[figure]
     t_end = t_full if t_end is None else t_end
     times = tuple(t for t in all_times if t <= t_end)
     if not times:
@@ -288,13 +285,12 @@ def build_figure_plan(figure: int, N: int, dt: float, bootstrap_b: int,
             f"J = {_DEFAULT_J!r}",
             "[dynamics]",
             f"kind = {kind}",
-            f"{key} = {value!r}",
+            f"{_KINDS[kind][0]} = {value!r}",
             "[run]",
             f"N = {N}",
             f"dt = {dt!r}",
             f"t_end = {t_end!r}",
             f"snapshot_times = {times_txt}",
-            f"scheme = {scheme}",
             "init = ones",
             f"seed = {seed}",
             "[fit]",

@@ -3,8 +3,7 @@
 Sections and keys:
 
     [model]     sigma2, J
-    [dynamics]  kind (complete | ring | smallworld | meanfield | eft),
-                z (ring), p_sw (smallworld), gamma_eft (eft)
+    [dynamics]  kind, and the extra key of that kind, if it has one
     [run]       N, dt, t_end, snapshot_times, scheme, init, seed
     [fit]       families, fit_times, bootstrap_B     (optional section)
 
@@ -12,9 +11,9 @@ Unknown sections or keys are errors, anchored to their line.  Numbers
 must be finite, and a seed must lie in [0, 2**64).  Lists are
 comma separated, with no entry repeated.  ``init`` is ``ones``,
 ``gaussian`` or ``gaussian:<sd>``.
-``scheme`` defaults by dynamics kind: the ring lattice uses the order-1.5
-Taylor scheme, everything else Milstein.  The small-world topology seed
-is the run seed, so a config fully determines its realization.
+One table, ``_KINDS``, declares each dynamics kind: its extra key, its
+default ``scheme`` and its builder.  The small-world topology seed is
+the run seed, so a config fully determines its realization.
 
 Each rule is checked in one place, and all before any graph is drawn:
 the parse checks the ring degree and the positive coupling divisor
@@ -32,20 +31,32 @@ import math
 from dataclasses import dataclass, replace
 
 from . import engine, topology
-from .engine import EFTDynamics, MeanFieldDynamics, ModelParams, SimConfig
+from .engine import (MILSTEIN, TAYLOR15, EFTDynamics, MeanFieldDynamics,
+                     ModelParams, SimConfig)
 from .errors import ConfigError
 from .gof import DEFAULT_BOOTSTRAP_B, FAMILIES
 
+# Every dynamics kind, in the order errors list them: its extra
+# [dynamics] key or None, its default scheme, and its dynamics built from
+# (the extra key's value, N, seed).  Each builder looks up its
+# ``topology`` function when called, so a replaced one is the one used.
+_KINDS = {
+    "complete": (None, MILSTEIN, lambda _, N, s: topology.build_complete(N)),
+    "ring": ("z", TAYLOR15,
+             lambda z, N, s: topology.build_regular_ring(N, round(z * N))),
+    "smallworld": ("p_sw", MILSTEIN,
+                   lambda p, N, s: topology.build_random_smallworld(N, p, s)),
+    "meanfield": (None, MILSTEIN, lambda *_: MeanFieldDynamics()),
+    "eft": ("gamma_eft", MILSTEIN, lambda g, N, s: EFTDynamics(g)),
+}
+_EXTRA_KEYS = tuple(key for key, _, _ in _KINDS.values() if key)
+
 _SECTION_KEYS = {
     "model": {"sigma2", "J"},
-    "dynamics": {"kind", "z", "p_sw", "gamma_eft"},
+    "dynamics": {"kind", *_EXTRA_KEYS},
     "run": {"N", "dt", "t_end", "snapshot_times", "scheme", "init", "seed"},
     "fit": {"families", "fit_times", "bootstrap_B"},
 }
-
-_KINDS = ("complete", "ring", "smallworld", "meanfield", "eft")
-_KIND_EXTRA_KEY = {"ring": "z", "smallworld": "p_sw", "eft": "gamma_eft"}
-_DEFAULT_SCHEME = {"ring": engine.TAYLOR15}  # everything else: milstein
 
 
 @dataclass(frozen=True)
@@ -179,9 +190,10 @@ def parse_config_text(text: str, origin: str = "<config>",
 
     kind = _get(sections, "dynamics", "kind", str)
     if kind not in _KINDS:
-        raise ConfigError(f"unknown dynamics kind {kind!r}; expected {_KINDS}")
-    extra = _KIND_EXTRA_KEY.get(kind)
-    for key in ("z", "p_sw", "gamma_eft"):
+        raise ConfigError(f"unknown dynamics kind {kind!r}; "
+                          f"expected {tuple(_KINDS)}")
+    extra, default_scheme, build = _KINDS[kind]
+    for key in _EXTRA_KEYS:
         if key in sections.get("dynamics", {}) and key != extra:
             _, where = sections["dynamics"][key]
             raise ConfigError(f"key {key!r} not valid for kind {kind!r}", where)
@@ -199,9 +211,8 @@ def parse_config_text(text: str, origin: str = "<config>",
                           "dynamics", sections["dynamics"]["p_sw"][1])
 
     sim = SimConfig(params=ModelParams.from_sigma2(sigma2, J), dynamics=None,
-                    scheme=scheme or _DEFAULT_SCHEME.get(kind, engine.MILSTEIN),
-                    N=n_agents, dt=dt, t_end=t_end,
-                    snapshot_times=snapshot_times,
+                    scheme=scheme or default_scheme, N=n_agents,
+                    dt=dt, t_end=t_end, snapshot_times=snapshot_times,
                     init=init, init_sd=init_sd, seed=seed)
     try:
         sim.validate()
@@ -213,16 +224,13 @@ def parse_config_text(text: str, origin: str = "<config>",
             raise ValueError(f"fit_times {missing} are not snapshot_times")
         if bootstrap_b < 1:
             raise ValueError(f"bootstrap_B must be >= 1, got {bootstrap_b}")
-        sim = replace(sim, dynamics=_build(kind, value, n_agents, seed))
+        sim = replace(sim, dynamics=build(value, n_agents, seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    dynamics_text = {"kind": kind}
-    if extra:
-        dynamics_text[extra] = value
     resolved = {
         "model": {"sigma2": sigma2, "J": J},
-        "dynamics": dynamics_text,
+        "dynamics": {"kind": kind, **({extra: value} if extra else {})},
         "run": {"N": n_agents, "dt": dt, "t_end": t_end,
                 "snapshot_times": ", ".join(repr(t) for t in snapshot_times),
                 "scheme": sim.scheme, "init": _init_text(init, init_sd),
@@ -234,19 +242,6 @@ def parse_config_text(text: str, origin: str = "<config>",
                            "bootstrap_B": bootstrap_b}
     return ExperimentConfig(sim=sim, families=families, fit_times=fit_times,
                             bootstrap_b=bootstrap_b, sections=resolved)
-
-
-def _build(kind: str, value, n_agents: int, seed: int):
-    """The dynamics of ``kind``, whose extra key holds ``value``."""
-    if kind == "complete":
-        return topology.build_complete(n_agents)
-    if kind == "ring":
-        return topology.build_regular_ring(n_agents, round(value * n_agents))
-    if kind == "smallworld":
-        return topology.build_random_smallworld(n_agents, value, seed)
-    if kind == "meanfield":
-        return MeanFieldDynamics()
-    return EFTDynamics(value)
 
 
 def _parse_init(value: str):

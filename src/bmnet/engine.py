@@ -23,14 +23,15 @@ Noise is counter-based: the Gaussian increments of step k come from a
 Philox stream keyed by the run seed with the step index in the counter,
 so a simulation is a pure function of its config no matter how the work
 is scheduled.  A run builds one generator and moves it to each step's
-counter.  A run's noise source alone picks K = max(1, 2**14 // draws
-per step) and draws the noise of K consecutive steps at once, each step
-from its own counter; no output depends on K.  The loop iterates the
-blocks it is handed and turns each into per-step coefficient rows (the
-Milstein factor m, the Taylor factors P and Q) with a few ufunc calls
-over (K, N) arrays; the steps do only the work that depends on the
-state.  On two CPUs or more, a long run forks a producer that draws the
-blocks ahead of the steps into shared memory; the bits are the same.
+counter.  One rule, ``_block_steps``, sets K = max(1, 2**14 // draws per
+step), and a run's noise source draws the noise of K consecutive steps
+at once, each from its own counter; no output depends on K.  The loop
+iterates the blocks it is handed and turns each into per-step
+coefficient rows (the Milstein factor m, the Taylor factors P and Q)
+with a few ufunc calls over (K, N) arrays; the steps do only the work
+that depends on the state.  On two CPUs or more, a long run forks a
+producer that draws the blocks ahead of the steps into shared memory;
+the bits are the same.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ DEFAULT_GAUSSIAN_INIT_SD = 0.05
 _NOISE_LANE = 0
 _INIT_LANE = 1
 
-# a run's noise comes in blocks of max(1, _BLOCK_DRAWS // draws per
-# step) steps: 16 Milstein steps at N = 1e3, one at N = 1e4.  A block
-# and its coefficients stay near 256 KB: at 2**15 draws, a Milstein run
-# at N = 1e4 held 0.47 MiB more at its peak than one step at a time
+# a run's noise comes in blocks of _block_steps steps: 16 Milstein steps
+# at N = 1e3, one at N = 1e4.  A block and its coefficients stay near
+# 256 KB: at 2**15 draws, a Milstein run at N = 1e4 held 0.47 MiB more
+# at its peak than one step at a time
 _BLOCK_DRAWS = 2 ** 14
 # noise blocks a forked producer may hold drawn ahead of the steps: at
 # most 640 KB of shared memory, on the ring with N = 1e4
@@ -513,11 +514,15 @@ def _step_loop(w: np.ndarray, dynamics, params: ModelParams, scheme: str,
     return w
 
 
+def _block_steps(draws_per_step: int) -> int:
+    """Steps K per noise block: as many as fit in _BLOCK_DRAWS, one at least."""
+    return max(1, _BLOCK_DRAWS // draws_per_step)
+
+
 @contextmanager
 def _noise_blocks(config: SimConfig):
     """The :func:`step_noise` (dB, dZ) blocks of ``config``'s run, in order,
-    for :func:`_step_loop`; the one place that picks their length K =
-    max(1, _BLOCK_DRAWS // draws per step) and shape from scheme and N.
+    for :func:`_step_loop`, of :func:`_block_steps` steps each.
 
     In process, one buffer is filled again for each block.  For a run of
     at least ``_fork._FORK_MIN_DRAWS`` draws on two CPUs or more, a forked
@@ -531,7 +536,7 @@ def _noise_blocks(config: SimConfig):
     raises RuntimeError; on every exit the producer has been reaped.
     """
     rows = (2, config.N) if config.scheme == TAYLOR15 else (config.N,)
-    block = max(1, _BLOCK_DRAWS // math.prod(rows))
+    block = _block_steps(math.prod(rows))
     n_steps, dt = config.n_steps, config.dt
     starts = range(0, n_steps, block)
     gen = NoiseGenerator(config.seed)
@@ -666,8 +671,7 @@ def strong_convergence_study(scheme: str, dts, n_paths: int,
     w_exact = np.exp(math.sqrt(2.0) * sigma * b_total - sigma * sigma * t_end)
 
     params = ModelParams(sigma=sigma, J=0.0)
-    # steps per slice: as many as fit in _BLOCK_DRAWS draws, one at least
-    K = max(1, _BLOCK_DRAWS // n_paths // (1 if scheme == MILSTEIN else 2))
+    K = _block_steps(n_paths * (1 if scheme == MILSTEIN else 2))
     errors = []
     for d in dts:
         m = int(round(d / dt_fine))

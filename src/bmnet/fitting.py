@@ -35,8 +35,8 @@ _NEWTON_MAX_STEPS = 8
 class FitReport:
     """Outcome of a maximum-likelihood fit.
 
-    ``loglik`` sums the log-density over ``sample``, the array fitted and
-    not a copy, when read; it is -inf for a GIGa fit that did not converge.
+    ``loglik`` sums the log-density over ``sample``, a read-only copy of the
+    values fitted, when read; it is -inf for a GIGa fit that did not converge.
     ``gamma_hat`` and ``alpha_gamma`` expose the tail observables of the
     inverse-gamma families; they are None for the lognormal fit.
     ``at_boundary`` flags a GIGa exponent pinned at the search boundary
@@ -91,7 +91,9 @@ class FitReport:
 
 
 def _validate_samples(samples, min_n: int) -> np.ndarray:
-    x = np.asarray(samples, dtype=float).ravel()
+    """A read-only copy of ``samples``, flat, which no caller can edit."""
+    x = np.array(samples, dtype=float, order="C").ravel()
+    x.setflags(write=False)
     if x.size < min_n:
         raise ValueError(f"need at least {min_n} samples, got {x.size}")
     # argmin and argmax point at a NaN if there is one

@@ -56,7 +56,6 @@ class GofReport:
 
     fit: FitReport
     ks_stat: float
-    p_value: float
     bootstrap_count: int
     exceed_count: int
     discarded_replicates: int = 0
@@ -64,6 +63,10 @@ class GofReport:
     @property
     def family(self) -> str:
         return self.fit.family
+
+    @property
+    def p_value(self) -> float:
+        return self.exceed_count / self.bootstrap_count
 
     def to_json_dict(self) -> dict:
         d = self.fit.to_json_dict()
@@ -176,7 +179,6 @@ def ks_pvalue_bootstrap(samples, family: str, B: int, seed) -> GofReport:
     parts = min(B, _fork.processes(B * n))
     exceed, discarded = map(sum, zip(*_fork.split(
         counts, [1 + B * i // parts for i in range(parts + 1)])))
-    return GofReport(fit=fit, ks_stat=d_obs, p_value=exceed / B,
-                     bootstrap_count=B, exceed_count=exceed,
-                     discarded_replicates=discarded)
+    return GofReport(fit=fit, ks_stat=d_obs, bootstrap_count=B,
+                     exceed_count=exceed, discarded_replicates=discarded)
 

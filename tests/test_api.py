@@ -7,7 +7,7 @@ name, but they take private coefficient rows and are not exported.
 """
 
 import bmnet
-from bmnet import engine
+from bmnet import cli, engine, gof, topology
 
 PUBLIC = [
     "ConfigError", "DegenerateSampleError", "EFTDynamics", "FitReport",
@@ -32,3 +32,16 @@ def test_tracer_seams_are_engine_globals():
     for name in ("step_noise", "milstein_step", "taylor15_step"):
         assert name not in bmnet.__all__
         assert callable(vars(engine)[name])
+    # every other name the benchmark's tracer replaces by name
+    seams = [(topology, ("build_complete", "build_regular_ring",
+                         "build_random_smallworld")),
+             (cli, ("simulate", "load_config", "cmd_evolve",
+                    "evolution_records", "ks_pvalue_bootstrap")),
+             (gof, ("ks_statistic",))]
+    seams += [(getattr(engine, cls), ("drift", "jacobian_apply", "l0_drift"))
+              for cls in ("NetworkDynamics", "MeanFieldDynamics",
+                          "EFTDynamics")]
+    for owner, names in seams:
+        for name in names:
+            assert callable(getattr(owner, name, None)), \
+                f"{owner.__name__}.{name}"

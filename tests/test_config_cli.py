@@ -36,6 +36,12 @@ fit_times = 1
 bootstrap_B = 19
 """
 
+# each dynamics kind with its own extra key, if it has one, at a valid value
+KIND_LINES = {"complete": "kind = complete", "ring": "kind = ring\nz = 0.1",
+              "smallworld": "kind = smallworld\np_sw = 0.1",
+              "meanfield": "kind = meanfield",
+              "eft": "kind = eft\ngamma_eft = 0.5"}
+
 
 def write_config(tmp_path, text=MINIMAL, name="exp.ini"):
     path = tmp_path / name
@@ -91,10 +97,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(MINIMAL + "\n[plotting]\nstyle = fancy\n")
 
-    def test_wrong_kind_key_rejected(self):
-        bad = MINIMAL.replace("kind = meanfield", "kind = meanfield\nz = 0.1")
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind in KIND_LINES for key in ("z", "p_sw", "gamma_eft")
+        if f"\n{key} =" not in KIND_LINES[kind]])
+    def test_wrong_kind_key_rejected(self, kind, key):
+        bad = MINIMAL.replace("kind = meanfield",
+                              f"{KIND_LINES[kind]}\n{key} = 0.1")
+        with pytest.raises(ConfigError,
+                           match=f"key '{key}' not valid for kind '{kind}'"):
             parse_config_text(bad)
+
+    @pytest.mark.parametrize("kind, builder", [
+        ("complete", "build_complete"), ("ring", "build_regular_ring"),
+        ("smallworld", "build_random_smallworld")])
+    def test_builder_is_looked_up_on_topology(self, monkeypatch, kind,
+                                              builder):
+        # a replaced topology.build_* is the one the parse calls
+        built = []
+        build = getattr(topology, builder)
+
+        def recording(*args):
+            built.append(build(*args))
+            return built[-1]
+        monkeypatch.setattr(topology, builder, recording)
+        cfg = parse_config_text(
+            MINIMAL.replace("kind = meanfield", KIND_LINES[kind]))
+        assert len(built) == 1 and cfg.sim.dynamics is built[0]
 
     def test_fit_times_must_be_snapshots(self):
         bad = MINIMAL.replace("fit_times = 1", "fit_times = 0.75")

@@ -56,6 +56,17 @@ def test_rejects_nonfinite_and_nonpositive_samples(fit, at, bad):
         fit(x)
 
 
+@pytest.mark.parametrize("fit", [fit_lognormal, fit_iga, fit_giga])
+def test_report_owns_its_sample(fit):
+    # a later write to the caller's array leaves the report as it was
+    x = np.random.default_rng(3).lognormal(size=1000)
+    report = fit(x)
+    loglik = report.loglik
+    x *= 2
+    assert report.loglik == loglik
+    assert not report.sample.flags.writeable
+
+
 class TestGammaMLE:
     def test_synthetic_recovery(self):
         y = np.random.default_rng(123).gamma(2.0, 3.0, 10 ** 5)
