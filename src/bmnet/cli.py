@@ -45,8 +45,11 @@ _HISTOGRAM_BINS = 50
 # reproduce manifest lists each run with its label, config and outputs.
 # 7: the complete graph applies the mean-field law J (wbar - w), so its
 # runs change in about the 15th digit and equal mean-field runs of the
-# same seed; no other run changes.
-FORMAT_VERSION = 7
+# same seed; no other run changes.  8: a run steps with the sigma2 its
+# config writes, not the square of its square root, so runs at
+# sigma2 = 0.05 change in about the 15th digit and those at 0.1 keep
+# their bits; the EFT Taylor step takes f' from the drift, not a power.
+FORMAT_VERSION = 8
 
 EVOLUTION_HEADER = ("t,family,alpha,beta,gamma,mu,s,gamma_hat,"
                     "alpha_gamma_hat,loglik,ks_stat,p_value,converged")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import engine, topology
+from . import topology
 from .engine import (MILSTEIN, TAYLOR15, EFTDynamics, MeanFieldDynamics,
                      ModelParams, SimConfig)
 from .errors import ConfigError
@@ -50,6 +50,7 @@ _KINDS = {
     "eft": ("gamma_eft", MILSTEIN, lambda g, N, s: EFTDynamics(g)),
 }
 _EXTRA_KEYS = tuple(key for key, _, _ in _KINDS.values() if key)
+_DEFAULT_INIT_SD = 0.05  # of ``init = gaussian``
 
 _SECTION_KEYS = {
     "model": {"sigma2", "J"},
@@ -180,8 +181,7 @@ def parse_config_text(text: str, origin: str = "<config>",
     t_end = _get(sections, "run", "t_end", _finite)
     snapshot_times = _get(sections, "run", "snapshot_times", _float_list)
     seed = _get(sections, "run", "seed", _seed)
-    init, init_sd = _parse_init(
-        _get(sections, "run", "init", str, default="ones"))
+    init_sd = _parse_init(_get(sections, "run", "init", str, default="ones"))
     scheme = _get(sections, "run", "scheme", str, default="")
     families = _get(sections, "fit", "families", _str_list, default=())
     fit_times = _get(sections, "fit", "fit_times", _float_list, default=())
@@ -210,10 +210,10 @@ def parse_config_text(text: str, origin: str = "<config>",
         raise ConfigError("topology n_divisor must be positive for network "
                           "dynamics", sections["dynamics"]["p_sw"][1])
 
-    sim = SimConfig(params=ModelParams.from_sigma2(sigma2, J), dynamics=None,
+    sim = SimConfig(params=ModelParams(sigma2=sigma2, J=J), dynamics=None,
                     scheme=scheme or default_scheme, N=n_agents,
                     dt=dt, t_end=t_end, snapshot_times=snapshot_times,
-                    init=init, init_sd=init_sd, seed=seed)
+                    init_sd=init_sd, seed=seed)
     try:
         sim.validate()
         unknown = set(families) - set(FAMILIES)
@@ -233,7 +233,7 @@ def parse_config_text(text: str, origin: str = "<config>",
         "dynamics": {"kind": kind, **({extra: value} if extra else {})},
         "run": {"N": n_agents, "dt": dt, "t_end": t_end,
                 "snapshot_times": ", ".join(repr(t) for t in snapshot_times),
-                "scheme": sim.scheme, "init": _init_text(init, init_sd),
+                "scheme": sim.scheme, "init": _init_text(init_sd),
                 "seed": seed},
     }
     if "fit" in sections:
@@ -245,23 +245,21 @@ def parse_config_text(text: str, origin: str = "<config>",
 
 
 def _parse_init(value: str):
+    """The initial state's sd: None for ``ones``, 0.05 for ``gaussian``."""
     if value == "ones":
-        return engine.INIT_ONES, engine.DEFAULT_GAUSSIAN_INIT_SD
+        return None
     if value == "gaussian":
-        return engine.INIT_GAUSSIAN, engine.DEFAULT_GAUSSIAN_INIT_SD
+        return _DEFAULT_INIT_SD
     if value.startswith("gaussian:"):
         try:
-            sd = _finite(value.split(":", 1)[1])
+            return _finite(value.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad gaussian init sd: {exc}") from exc
-        return engine.INIT_GAUSSIAN, sd
     raise ConfigError(f"unknown init {value!r}; expected ones or gaussian[:sd]")
 
 
-def _init_text(init: str, init_sd: float) -> str:
-    if init == engine.INIT_ONES:
-        return "ones"
-    return f"gaussian:{init_sd!r}"
+def _init_text(init_sd) -> str:
+    return "ones" if init_sd is None else f"gaussian:{init_sd!r}"
 
 
 def _read(path) -> str:

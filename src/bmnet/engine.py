@@ -51,10 +51,6 @@ MILSTEIN = "milstein"
 TAYLOR15 = "taylor15"
 SCHEMES = (MILSTEIN, TAYLOR15)
 
-INIT_ONES = "ones"
-INIT_GAUSSIAN = "gaussian"
-DEFAULT_GAUSSIAN_INIT_SD = 0.05
-
 # Philox counter lanes (word 2); word 3 carries the step index
 _NOISE_LANE = 0
 _INIT_LANE = 1
@@ -69,26 +65,23 @@ _BLOCK_DRAWS = 2 ** 14
 _NOISE_SLOTS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelParams:
-    """Noise amplitude sigma (per sqrt(time)) and coupling strength J (per time)."""
+    """Noise variance sigma2 = sigma^2 and coupling strength J, both per
+    time, as a config writes them; the amplitude sigma is derived."""
 
-    sigma: float
+    sigma2: float
     J: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not self.sigma2 > 0:
+            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if self.J < 0:
             raise ValueError(f"J must be nonnegative, got {self.J}")
 
     @property
-    def sigma2(self) -> float:
-        return self.sigma * self.sigma
-
-    @classmethod
-    def from_sigma2(cls, sigma2: float, J: float) -> "ModelParams":
-        return cls(sigma=math.sqrt(sigma2), J=J)
+    def sigma(self) -> float:
+        return math.sqrt(self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -103,19 +96,21 @@ class Snapshot:
 
 
 class NoiseGenerator:
-    """One reusable Philox generator for the noise lane of one seed.
+    """One reusable Philox generator for one counter lane of one seed,
+    the noise lane unless another is given.
 
-    ``at(step)`` moves it to counter (lane 0, step) with an empty buffer,
-    the state that a fresh ``Philox(counter=[0, 0, 0, step], key=seed)``
-    starts in, so its draws equal a fresh generator's bit for bit.  Only
-    the counter word of a state dict read once at construction changes,
-    which costs a fraction of building a generator.  The dict holds its
-    words as lists of ints, which the state setter reads in about half
-    the time it takes to read them from numpy arrays.
+    ``at(step)`` moves it to counter (lane, step) with an empty buffer,
+    the state that a fresh ``Philox(counter=[0, 0, lane, step],
+    key=seed)`` starts in, so its draws equal a fresh generator's bit
+    for bit.  Only the counter word of a state dict read once at
+    construction changes, which costs a fraction of building a
+    generator.  The dict holds its words as lists of ints, which the
+    state setter reads in about half the time it takes to read them from
+    numpy arrays.
     """
 
-    def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(counter=[0, 0, _NOISE_LANE, 0],
+    def __init__(self, seed: int, lane: int = _NOISE_LANE):
+        self._bitgen = np.random.Philox(counter=[0, 0, lane, 0],
                                         key=np.uint64(seed))
         self._gen = np.random.Generator(self._bitgen)
         state = self._bitgen.state
@@ -242,8 +237,9 @@ class NetworkDynamics:
     def drift(self, w: np.ndarray, params: ModelParams) -> np.ndarray:
         return self._apply(w, params.J)
 
-    def jacobian_apply(self, w, v, params: ModelParams) -> np.ndarray:
-        # the drift is linear: its Jacobian is the coupling operator itself
+    def jacobian_apply(self, w, v, params: ModelParams, f) -> np.ndarray:
+        """Jac(w) v, given the drift f at w; the drift is linear, so its
+        Jacobian is the coupling operator itself."""
         return self._apply(v, params.J)
 
     def l0_drift(self, w, f, params: ModelParams) -> None:
@@ -260,7 +256,7 @@ class MeanFieldDynamics:
     def drift(self, w, params: ModelParams) -> np.ndarray:
         return _mean_field_coupling(w, params.J)
 
-    def jacobian_apply(self, w, v, params: ModelParams) -> np.ndarray:
+    def jacobian_apply(self, w, v, params: ModelParams, f) -> np.ndarray:
         return _mean_field_coupling(v, params.J)
 
     def l0_drift(self, w, f, params: ModelParams) -> None:
@@ -294,9 +290,10 @@ class EFTDynamics:
         th = self._theta(params)
         return params.J * (th * w ** (1.0 - self.gamma_eft) - w)
 
-    def jacobian_apply(self, w, v, params: ModelParams) -> np.ndarray:
-        g = self.gamma_eft
-        fp = params.J * ((1.0 - g) * self._theta(params) * w ** (-g) - 1.0)
+    def jacobian_apply(self, w, v, params: ModelParams, f) -> np.ndarray:
+        """f' v with f' = J ((1 - g) theta w^(-g) - 1), given the drift f
+        at w, which makes it (1 - g) (f + J w) / w - J: no power."""
+        fp = (1.0 - self.gamma_eft) * (f + params.J * w) / w - params.J
         return fp * v
 
     def l0_drift(self, w, f, params: ModelParams) -> np.ndarray:
@@ -378,8 +375,9 @@ def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
         P = 1 - s2 dt + dB (c - c s2 dt + dB (s2 + dB c s2 / 3))
         Q = dt + c (dB dt - dZ)
 
-    with one Jacobian product; ``l0_drift`` gives s2 w^2 f'', or None for
-    a linear drift.  The ufuncs write only into arrays made here.
+    with one Jacobian product; ``jacobian_apply`` and ``l0_drift`` take
+    f, and ``l0_drift`` gives s2 w^2 f'', or None for a linear drift.
+    The ufuncs write only into arrays made here.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -392,7 +390,7 @@ def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
     np.multiply(v, c, v)
     tmp = np.multiply(f, half_dt2)
     np.add(v, tmp, v)
-    jac = dynamics.jacobian_apply(w, v, params)
+    jac = dynamics.jacobian_apply(w, v, params, f)
     curv = dynamics.l0_drift(w, f, params)
     w_new = np.multiply(P, w)
     np.multiply(Q, f, tmp)
@@ -426,8 +424,7 @@ class SimConfig:
     dt: float
     t_end: float
     snapshot_times: tuple
-    init: str = INIT_ONES
-    init_sd: float = DEFAULT_GAUSSIAN_INIT_SD
+    init_sd: float | None = None  # of a Gaussian state; None: all ones
     seed: int = 0
 
     def validate(self) -> None:
@@ -440,9 +437,7 @@ class SimConfig:
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         self._grid_step(self.t_end, f"t_end={self.t_end}")
-        if self.init not in (INIT_ONES, INIT_GAUSSIAN):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.init == INIT_GAUSSIAN and not 0 < self.init_sd:
+        if self.init_sd is not None and not 0 < self.init_sd:
             raise ValueError(f"init_sd must be positive, got {self.init_sd}")
         for t in self.snapshot_times:
             if not 0 <= t <= self.t_end + 1e-9:
@@ -477,10 +472,9 @@ class SimConfig:
 def initial_state(config: SimConfig) -> np.ndarray:
     """Initial wealth vector: all ones, or a narrow Gaussian around one
     (resampled until positive), drawn from a dedicated Philox lane."""
-    if config.init == INIT_ONES:
+    if config.init_sd is None:
         return np.ones(config.N)
-    gen = np.random.Generator(np.random.Philox(
-        counter=[0, 0, _INIT_LANE, 0], key=np.uint64(config.seed)))
+    gen = NoiseGenerator(config.seed, lane=_INIT_LANE).at(0)
     w = 1.0 + config.init_sd * gen.standard_normal(config.N)
     while (bad := w <= 0).any():
         w[bad] = 1.0 + config.init_sd * gen.standard_normal(int(bad.sum()))
@@ -647,7 +641,7 @@ def strong_convergence_study(scheme: str, dts, n_paths: int,
         raise ValueError(f"unknown scheme {scheme!r}")
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
-    sigma, t_end = math.sqrt(0.05), 1.0
+    params, t_end = ModelParams(sigma2=0.05, J=0.0), 1.0
     dts = sorted(float(d) for d in dts)
     if not all(0 < d < math.inf for d in dts):
         raise ValueError("need positive finite step sizes")
@@ -668,9 +662,9 @@ def strong_convergence_study(scheme: str, dts, n_paths: int,
     db_fine, dz_fine = _wiener_increments(z[0], z[1], dt_fine)
 
     b_total = db_fine.sum(axis=0)
-    w_exact = np.exp(math.sqrt(2.0) * sigma * b_total - sigma * sigma * t_end)
+    w_exact = np.exp(math.sqrt(2.0) * params.sigma * b_total
+                     - params.sigma2 * t_end)
 
-    params = ModelParams(sigma=sigma, J=0.0)
     K = _block_steps(n_paths * (1 if scheme == MILSTEIN else 2))
     errors = []
     for d in dts:

@@ -39,7 +39,7 @@ from oracles import to_unscaled
 from test_distributions import PARAM_GRID, quad_log_space
 from test_gof import ranked_reports
 
-BASE_PARAMS = ModelParams.from_sigma2(0.05, 0.1)
+BASE_PARAMS = ModelParams(sigma2=0.05, J=0.1)
 EQUILIBRATION_TIMES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0, 200.0,
                        300.0, 400.0, 500.0)
 
@@ -169,7 +169,7 @@ def test_criterion_03_integrator_orders():
 # -- criterion 4: transient lognormal ----------------------------------------
 
 def test_criterion_04_transient_lognormal():
-    cfg = SimConfig(params=ModelParams.from_sigma2(0.05, 0.0),
+    cfg = SimConfig(params=ModelParams(sigma2=0.05, J=0.0),
                     dynamics=MeanFieldDynamics(), scheme="milstein",
                     N=10 ** 4, dt=0.01, t_end=5.0, snapshot_times=(5.0,),
                     seed=4)
@@ -342,7 +342,7 @@ def test_criterion_10_equilibration_ordering(rann_trajectory, regn_trajectory):
 # -- criterion 11: conservation -------------------------------------------------
 
 def test_criterion_11a_drift_conservation():
-    params = ModelParams.from_sigma2(0.05, 0.1)
+    params = ModelParams(sigma2=0.05, J=0.1)
     rng = np.random.default_rng(0)
     worst = 0.0
     for trial in range(30):

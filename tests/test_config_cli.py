@@ -11,6 +11,7 @@ import pytest
 
 from bmnet import cli, topology
 from bmnet.config import config_to_text, load_config, parse_config_text
+from bmnet.distributions import theta_of_gamma
 from bmnet.errors import ConfigError, PositivityError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,8 +138,28 @@ class TestConfigParsing:
     def test_gaussian_init_with_sd(self):
         text = MINIMAL.replace("seed = 42", "seed = 42\ninit = gaussian:0.02")
         cfg = parse_config_text(text)
-        assert cfg.sim.init == "gaussian"
         assert cfg.sim.init_sd == 0.02
+        # a bare gaussian has the default sd, and all ones has none
+        bare = parse_config_text(text.replace("gaussian:0.02", "gaussian"))
+        assert bare.sim.init_sd == 0.05
+        assert parse_config_text(MINIMAL).sim.init_sd is None
+
+    def test_model_holds_sigma2_as_written(self):
+        # 0.05 does not survive a square root and its square
+        assert parse_config_text(MINIMAL).sim.params.sigma2 == 0.05
+
+    def test_eft_theta_is_the_theta_table_row(self, tmp_path):
+        # a run's theta has the bits of theta_of_gamma at the written
+        # sigma2, and of the row that ``bmnet theta`` prints for it
+        out = tmp_path / "th"
+        assert cli.main(["theta", "--out", str(out)]) == 0
+        row = (out / "theta_table.csv").read_text().splitlines()[50]
+        gamma, theta = row.split(",")[:2]
+        cfg = parse_config_text(MINIMAL.replace(
+            "kind = meanfield", f"kind = eft\ngamma_eft = {gamma}"))
+        run_theta = cfg.sim.dynamics._theta(cfg.sim.params)
+        assert run_theta == theta_of_gamma(0.1, 0.05, float(gamma))
+        assert repr(run_theta) == theta
 
 
 class TestSimulateCommand:

@@ -21,7 +21,7 @@ from bmnet.topology import (build_complete, build_random_smallworld,
                             build_regular_ring)
 from oracles import to_unscaled
 
-BASE_PARAMS = ModelParams.from_sigma2(0.05, 0.1)
+BASE_PARAMS = ModelParams(sigma2=0.05, J=0.1)
 
 
 class FixedDrift:
@@ -46,8 +46,8 @@ class ReadOnlyMeanField(MeanFieldDynamics):
     def drift(self, w, params):
         return _read_only(super().drift(w, params))
 
-    def jacobian_apply(self, w, v, params):
-        return _read_only(super().jacobian_apply(w, v, params))
+    def jacobian_apply(self, w, v, params, f):
+        return _read_only(super().jacobian_apply(w, v, params, f))
 
 
 def one_step(gen, step, n, dt, with_dz=False):
@@ -140,8 +140,9 @@ class TestInteractionDrift:
         w = rng.gamma(3.0, 0.4, size) + 1e-3
         v = rng.normal(size=size)
         eps = size * np.finfo(float).eps
-        assert abs(dyn.drift(w, BASE_PARAMS).sum()) <= eps * np.abs(w).max()
-        assert abs(dyn.jacobian_apply(w, v, BASE_PARAMS).sum()) <= \
+        f = dyn.drift(w, BASE_PARAMS)
+        assert abs(f.sum()) <= eps * np.abs(w).max()
+        assert abs(dyn.jacobian_apply(w, v, BASE_PARAMS, f).sum()) <= \
             eps * np.abs(v).max()
 
     @pytest.mark.parametrize("size", [299, 301, 1])
@@ -152,7 +153,8 @@ class TestInteractionDrift:
         dyn = build_random_smallworld(300, 0.03, seed=1)
         v = np.ones(size)
         for apply in (lambda: dyn.drift(v, BASE_PARAMS),
-                      lambda: dyn.jacobian_apply(np.ones(300), v, BASE_PARAMS),
+                      lambda: dyn.jacobian_apply(np.ones(300), v, BASE_PARAMS,
+                                                 np.zeros(300)),
                       lambda: milstein_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
                                             np.zeros(size)),
                       lambda: taylor15_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
@@ -272,7 +274,7 @@ class TestMilsteinStep:
 
     def test_positivity_violation_raises_with_index(self):
         # a pathologically large mean-reverting kick drives agent 1 negative
-        params = ModelParams(sigma=BASE_PARAMS.sigma, J=5.0)
+        params = ModelParams(sigma2=BASE_PARAMS.sigma2, J=5.0)
         with pytest.raises(PositivityError) as err:
             milstein(np.array([0.1, 10.0]), 1.5, MeanFieldDynamics(),
                      params, 0.5, np.zeros(2))
@@ -319,13 +321,13 @@ class TestTaylor15Step:
 
     def test_noise_free_second_order_reduction(self):
         # sigma -> 0: w + f dt + (1/2) (Jacobian f) dt^2
-        params = ModelParams(sigma=1e-9, J=0.3)
+        params = ModelParams(sigma2=1e-18, J=0.3)
         dyn = MeanFieldDynamics()
         w = np.array([0.5, 1.0, 2.0, 4.0])
         dt = 0.1
         out = taylor15(w, 0.0, dyn, params, dt, np.zeros(4), np.zeros(4))
         f = dyn.drift(w, params)
-        expected = w + f * dt + 0.5 * dyn.jacobian_apply(w, f, params) * dt * dt
+        expected = w + f * dt + 0.5 * dyn.jacobian_apply(w, f, params, f) * dt * dt
         assert out == pytest.approx(expected, rel=1e-12)
 
     def test_agrees_with_milstein_to_order_three_halves(self):
@@ -355,7 +357,9 @@ class TestTaylor15Step:
         v = rng.normal(size=10)
         eps = 1e-7
         fd = (dyn.drift(w + eps * v, BASE_PARAMS) - dyn.drift(w - eps * v, BASE_PARAMS)) / (2 * eps)
-        assert np.allclose(dyn.jacobian_apply(w, v, BASE_PARAMS), fd, atol=1e-7)
+        assert np.allclose(dyn.jacobian_apply(w, v, BASE_PARAMS,
+                                              dyn.drift(w, BASE_PARAMS)),
+                           fd, atol=1e-7)
 
     def test_eft_jacobian_contraction(self):
         dyn = EFTDynamics(0.5)
@@ -364,7 +368,9 @@ class TestTaylor15Step:
         v = rng.normal(size=20)
         eps = 1e-7
         fd = (dyn.drift(w + eps * v, BASE_PARAMS) - dyn.drift(w - eps * v, BASE_PARAMS)) / (2 * eps)
-        assert np.allclose(dyn.jacobian_apply(w, v, BASE_PARAMS), fd, atol=1e-6)
+        assert np.allclose(dyn.jacobian_apply(w, v, BASE_PARAMS,
+                                              dyn.drift(w, BASE_PARAMS)),
+                           fd, atol=1e-6)
 
 
 class TestDegreeSlot:
@@ -423,7 +429,7 @@ def _dense_adjacency(top):
     return A
 
 
-ORACLE_PARAMS = ModelParams.from_sigma2(0.05, 0.3)
+ORACLE_PARAMS = ModelParams(sigma2=0.05, J=0.3)
 ORACLE_CASES = {
     "complete": lambda: build_complete(40),
     "ring-even": lambda: build_regular_ring(40, 6),
@@ -482,6 +488,22 @@ def test_eft_curvature_matches_second_difference():
           + dyn.drift(w - h, ORACLE_PARAMS)) / (h * h)
     curv = dyn.l0_drift(w, dyn.drift(w, ORACLE_PARAMS), ORACLE_PARAMS)
     assert curv == pytest.approx(ORACLE_PARAMS.sigma2 * w * w * d2, rel=1e-5)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.4, 0.5, 0.8, 1.0])
+def test_eft_jacobian_from_the_drift_matches_the_power_form(gamma):
+    # f' = (1 - g) (f + J w) / w - J from the drift f at w agrees with
+    # J ((1 - g) theta w^(-g) - 1), relative to the size of its two terms
+    dyn = EFTDynamics(gamma)
+    rng = np.random.default_rng(8)
+    w = np.concatenate((rng.gamma(3.0, 0.4, 2000) + 1e-3,
+                        rng.lognormal(0.0, 3.0, 2000)))
+    v = rng.normal(size=w.size)
+    J, th = ORACLE_PARAMS.J, dyn._theta(ORACLE_PARAMS)
+    first = J * (1.0 - gamma) * th * w ** (-gamma)
+    power = (first - J) * v
+    out = dyn.jacobian_apply(w, v, ORACLE_PARAMS, dyn.drift(w, ORACLE_PARAMS))
+    assert np.all(np.abs(out - power) <= 1e-12 * (first + J) * np.abs(v))
 
 
 class TestNoiseStreams:
@@ -589,9 +611,9 @@ class TestNoiseBlocks:
         ("milstein", 9.0, 8, 15), ("taylor15", 10.0, 1, 12)])
     def test_positivity_error_mid_block_matches_single_steps(
             self, monkeypatch, scheme, J, seed, step):
-        cfg = _mf_config(scheme=scheme, params=ModelParams.from_sigma2(0.05, J),
-                         N=40, dt=0.2, t_end=20.0, init="gaussian",
-                         init_sd=0.4, seed=seed,
+        cfg = _mf_config(scheme=scheme, params=ModelParams(sigma2=0.05, J=J),
+                         N=40, dt=0.2, t_end=20.0, init_sd=0.4,
+                         seed=seed,
                          snapshot_times=(0.0, 0.2, 0.4, 1.0, 2.0))
         seen = []
         for block in (1, None, 7):  # a block of 7 holds the failing step
@@ -619,7 +641,7 @@ class TestSimulate:
         assert np.all(snaps[0].w == 1.0)
 
     def test_gaussian_init(self):
-        snaps = simulate(_mf_config(init="gaussian", init_sd=0.05))
+        snaps = simulate(_mf_config(init_sd=0.05))
         w0 = snaps[0].w
         assert np.all(w0 > 0)
         assert w0.std() == pytest.approx(0.05, rel=0.5)
@@ -646,20 +668,20 @@ class TestSimulate:
             simulate(cfg)
 
     def test_positivity_abort_carries_partial_results(self):
-        cfg = _mf_config(params=ModelParams.from_sigma2(0.05, 30.0),
+        cfg = _mf_config(params=ModelParams(sigma2=0.05, J=30.0),
                         dynamics=MeanFieldDynamics(), N=40, dt=0.2,
                         t_end=20.0, snapshot_times=(0.0, 0.2, 0.4),
-                        init="gaussian", init_sd=0.4, seed=12)
+                        init_sd=0.4, seed=12)
         with pytest.raises(PositivityError) as err:
             simulate(cfg)
         assert err.value.step is not None
         assert len(err.value.snapshots) >= 1
 
     def test_positivity_message_names_failing_step(self):
-        cfg = _mf_config(params=ModelParams.from_sigma2(0.05, 30.0),
+        cfg = _mf_config(params=ModelParams(sigma2=0.05, J=30.0),
                         dynamics=MeanFieldDynamics(), N=40, dt=0.2,
                         t_end=20.0, snapshot_times=(0.0, 0.2, 0.4),
-                        init="gaussian", init_sd=0.4, seed=12)
+                        init_sd=0.4, seed=12)
         with pytest.raises(PositivityError) as err:
             simulate(cfg)
         assert err.value.step == 0
@@ -667,7 +689,7 @@ class TestSimulate:
 
     def test_uncoupled_run_matches_transient_lognormal(self):
         # J=0 at t=5: log w ~ Normal(-sigma^2 t, 2 sigma^2 t)
-        cfg = _mf_config(params=ModelParams.from_sigma2(0.05, 0.0),
+        cfg = _mf_config(params=ModelParams(sigma2=0.05, J=0.0),
                         N=4000, t_end=5.0, snapshot_times=(5.0,), seed=21)
         w = simulate(cfg)[0].w
         mu, s = -0.05 * 5.0, math.sqrt(2 * 0.05 * 5.0)
@@ -705,7 +727,7 @@ class TestNoAliasing:
         f = _read_only(np.linspace(-0.1, 0.1, 6))
         if shared_drift:
             dyn = FixedDrift(f)
-            dyn.jacobian_apply = lambda w, v, params: f
+            dyn.jacobian_apply = lambda w, v, params, f_: f
             dyn.l0_drift = lambda w, f_, params: f
         else:
             dyn = ReadOnlyMeanField()
@@ -818,9 +840,10 @@ class TestStepSeams:
         assert len(calls[f"{scheme}_step"]) == cfg.n_steps
         assert calls[other] == []
 
-    @pytest.mark.parametrize("init", ["ones", "gaussian"])
+    @pytest.mark.parametrize("init_sd", [None, 0.05],
+                             ids=["ones", "gaussian"])
     @pytest.mark.parametrize("t_end", [0.05, 2.0])
-    def test_simulate_builds_one_noise_generator(self, monkeypatch, init,
+    def test_simulate_builds_one_noise_generator(self, monkeypatch, init_sd,
                                                  t_end):
         # building a Philox generator costs several times what moving one
         # to the next step's counter does; the init lane may build its own
@@ -831,10 +854,11 @@ class TestStepSeams:
             lanes.append(int(kw["counter"][2]))
             return philox(*args, **kw)
         monkeypatch.setattr(np.random, "Philox", counted)
-        cfg = _mf_config(t_end=t_end, snapshot_times=(t_end,), init=init)
+        cfg = _mf_config(t_end=t_end, snapshot_times=(t_end,),
+                         init_sd=init_sd)
         simulate(cfg)
         assert lanes.count(engine._NOISE_LANE) == 1
-        assert len(lanes) == (2 if init == "gaussian" else 1)
+        assert len(lanes) == (1 if init_sd is None else 2)
 
     @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
     def test_convergence_study_steps_through_seams(self, monkeypatch, scheme):

@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _config(**kw):
-    base = dict(params=ModelParams.from_sigma2(0.05, 0.1),
+    base = dict(params=ModelParams(sigma2=0.05, J=0.1),
                 dynamics=MeanFieldDynamics(), scheme="milstein", N=100,
                 dt=0.01, t_end=0.5, snapshot_times=(0.0, 0.03, 0.5), seed=3)
     base.update(kw)
@@ -65,8 +65,8 @@ class TestNoiseProducer:
                                                 forks, failure):
         # J = 9 at dt = 0.2 fails at step 15, in the fourth block of 25,
         # with the producer drawing ahead
-        cfg = _config(params=ModelParams.from_sigma2(0.05, 9.0), N=40, dt=0.2,
-                      t_end=20.0, init="gaussian", init_sd=0.4, seed=8,
+        cfg = _config(params=ModelParams(sigma2=0.05, J=9.0), N=40, dt=0.2,
+                      t_end=20.0, init_sd=0.4, seed=8,
                       snapshot_times=(0.0, 0.2, 0.4, 1.0, 2.0))
         monkeypatch.setattr(engine, "_BLOCK_DRAWS", 4 * cfg.N)
         if failure == "interrupt":
@@ -156,7 +156,7 @@ def announced(body):
 
 
 _fork.fork = announced
-simulate(SimConfig(params=ModelParams.from_sigma2(0.05, 0.1),
+simulate(SimConfig(params=ModelParams(sigma2=0.05, J=0.1),
                    dynamics=MeanFieldDynamics(), scheme="milstein", N=1000,
                    dt=0.01, t_end=10000.0, snapshot_times=(10000.0,)))
 """

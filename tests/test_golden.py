@@ -6,7 +6,10 @@ fits of LN, IGa and GIGa at 5 with B = 9) and compares the SHA-256 of
 every file the command writes, ``manifest.json`` included.  The cases
 cover every dynamics kind (complete, ring z = 0.1, small-world
 p_sw = 0.05, mean-field, effective-field gamma = 0.5) under both
-schemes, plus one ``gaussian:0.1`` initial state.  ``bmnet convergence``
+schemes, plus one ``gaussian:0.1`` initial state.  Five of these cases
+run again at sigma2 = 0.1 (ring Taylor, small-world, mean-field and
+effective-field Milstein, and the ``gaussian:0.1`` one), with every file
+but the manifest pinned.  ``bmnet convergence``
 is pinned for both schemes at 200 paths, and ``bmnet reproduce`` for
 figure 2 (histogram mode, small-world Milstein: N = 60, B = 9,
 t_end = 500, so the figure's times 1 and 500) and figure 5 (evolution
@@ -60,6 +63,24 @@ complete ``snapshot_t1.0.csv``, ``snapshot_t5.0.csv`` and
 differ only in ``format_version``, were recorded again; every other
 file kept its hash.
 
+At format version 8 a run steps with the sigma2 its config writes:
+``ModelParams`` holds sigma2 and derives sigma, where it held sigma and
+squared it back, and 0.05 does not survive a square root and its
+square.  The EFT Taylor step also takes the drift's derivative from the
+drift f at w, (1 - g) (f + J w) / w - J, not from a power of w.  Every
+file of the sigma2 = 0.05 cases that a step reaches was recorded again:
+each ``snapshot_t1.0.csv``, ``snapshot_t5.0.csv`` and
+``evolution.csv``, both ``convergence_*.json`` (the study steps and
+solves at sigma2 = 0.05), and every other reproduce output but figure
+2's histogram at time 1, for sigma2 rounding; eft-taylor15's for the
+derivative as well; and every ``manifest.json`` for ``format_version``.
+Every ``snapshot_t0.0.csv``, the figure-2 histogram at time 1, the
+figure plans and the ``theta`` tables kept their hashes.  The sigma2 =
+0.1 cases were recorded at format version 7, before the change, and
+kept their hashes through it: 0.1 survives a square root and its
+square, so only sigma2 rounding and the EFT Taylor derivative move
+bytes.
+
 To print the current hashes in the format of ``GOLDEN_TEXT``, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -75,7 +96,7 @@ from bmnet.config import config_to_text
 
 CONFIG = """\
 [model]
-sigma2 = 0.05
+sigma2 = {sigma2}
 J = 0.1
 
 [dynamics]
@@ -104,10 +125,17 @@ DYNAMICS = {
     "eft": "kind = eft\ngamma_eft = 0.5",
 }
 
-CASES = {f"{kind}-{scheme}": (kind, scheme, "ones")
+CASES = {f"{kind}-{scheme}": (kind, scheme, "ones", 0.05)
          for kind in DYNAMICS for scheme in ("milstein", "taylor15")}
 CASES["smallworld-milstein-gaussian"] = ("smallworld", "milstein",
-                                         "gaussian:0.1")
+                                         "gaussian:0.1", 0.05)
+
+# five cases again at sigma2 = 0.1, which survives a square root and its
+# square; their manifests, which carry format_version, are not pinned
+EXACT_SIGMA2_CASES = {
+    f"{case}-s0.1": (*CASES[case][:3], 0.1)
+    for case in ("ring-taylor15", "smallworld-milstein", "meanfield-milstein",
+                 "eft-milstein", "smallworld-milstein-gaussian")}
 
 # sha256sum-style lines: <hash>  <case>/<command>/<file>
 # reduced sizes of the pinned ``reproduce`` runs, by figure
@@ -123,84 +151,104 @@ THETA = {
 }
 
 GOLDEN_TEXT = """\
-e9ba750f5e41a048e36f1a1664571cc08fa1257ab9f9dd23253709049d924ae4  complete-milstein/simulate/manifest.json
+c879699c1fd0f637d500262f9afd2609e81cfb01d14739c10116f040a939ee37  complete-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  complete-milstein/simulate/snapshot_t0.0.csv
-69534f7b6017fd7a430c0ecafb6dcccd6cac647cc4fd18b9aee538b043a985ed  complete-milstein/simulate/snapshot_t1.0.csv
-0c806059ed86ac0bb4ca8230055fc451d03f050d9caed7f02fe7d41e221d19c7  complete-milstein/simulate/snapshot_t5.0.csv
-55c9d73e3b1dcfdbf903199022e57a675bb06014f2d17ae9be0b23a18b620adb  complete-milstein/evolve/evolution.csv
-72684d7f524c1afe617fbd2329e27881ccd79a78db7f79844671dfdbb9078f62  complete-milstein/evolve/manifest.json
-3808cc6af7ecc160285e0a20cdc57eb5a876a21462cd0d2e64209348d91724dc  complete-taylor15/simulate/manifest.json
+3e0293dcaf8a530587445c439f99ecb98e9527efb68768575f9c03eb05beb735  complete-milstein/simulate/snapshot_t1.0.csv
+ece99b1800513afa17c7e07d3cc04705cfb7638cd14782bdd8784789696d5df8  complete-milstein/simulate/snapshot_t5.0.csv
+fabedbff788c41d7a7cb4e8f75214443c928bd6d1ec077c8d61903b5c8ff6578  complete-milstein/evolve/evolution.csv
+a1e0ac1e73104cd165dbe634f7d37a61415cd390b13c1b059938a3a6396b9251  complete-milstein/evolve/manifest.json
+5f3443046a5959acaf0d3959b27fc4ad6026f926cb8421ed089cc10a0ba02488  complete-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  complete-taylor15/simulate/snapshot_t0.0.csv
-ad195a7e0f68cbeba3f1e04480cc19afe7c8d144f880b223ec1b9ebce52d46ee  complete-taylor15/simulate/snapshot_t1.0.csv
-a15ea335c507944ba248f6967ced79d99a0d60fcfa01972d95d4956c555c6351  complete-taylor15/simulate/snapshot_t5.0.csv
-a0a88d059673d92b4ccf6a3979b79b81068850fb16a04f3e4c259aad8a7f4619  complete-taylor15/evolve/evolution.csv
-7debc15ce4de3f876a2bcbd3a5837be270e0e3eb95453a46fa2abecb71fd3da3  complete-taylor15/evolve/manifest.json
-0f9f1be00d1201657e84769dffd74ae33fd5f6409ef0b0a701b9c2ab3a180512  ring-milstein/simulate/manifest.json
+ea5880b1dd043a78a6bf9ad5ade6450b965a6d1a38727df0b11d8e83da9aef2f  complete-taylor15/simulate/snapshot_t1.0.csv
+372e5b869537a49f83c7661d46452e75756d3895c835cab54c490189289e5580  complete-taylor15/simulate/snapshot_t5.0.csv
+8d799c2793e5f33fbabb7fbca22b45921837c49a5466b2215eef1672a0a6815c  complete-taylor15/evolve/evolution.csv
+032bb1704ad19372df2304f2c2188e99ba9c5328dabe1cd80553201f6dd7f25e  complete-taylor15/evolve/manifest.json
+b569b454e5b7cb6fb34f1f23e05e93d0865f03b4ab50ce17a00ede2da0f9e873  ring-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  ring-milstein/simulate/snapshot_t0.0.csv
-d0bc47c6c8f3e51d1ed6854428baa5c777deabaab12ec24e9196d527c105f54b  ring-milstein/simulate/snapshot_t1.0.csv
-236f6bda7843e0b410758f0630a7b858789eefb6b0cc9dc8c4b1f2cc0f0d82a7  ring-milstein/simulate/snapshot_t5.0.csv
-997c11e9a07fdcc24a734cc8d582000d424c81bc44ddb8387ba9e947a28eca33  ring-milstein/evolve/evolution.csv
-cac05a7bd189f400722f7a7f45ba6c8a85e4ce3bf164ff240d5e6ac1aabf5a4d  ring-milstein/evolve/manifest.json
-9a9687a97a861ad8e8dc3263dd2227f385622d4d53be3943213965f6ef3c9807  ring-taylor15/simulate/manifest.json
+12533e71fda2e7632bd732a93d5babc4342787b417746cb5a49751e09cdea033  ring-milstein/simulate/snapshot_t1.0.csv
+f37f6d6e495a9e9d7dce3cc2861dffb00bf801d40f3aa3d1298e00250784ab80  ring-milstein/simulate/snapshot_t5.0.csv
+e91e5192852b78e9c55994b4b2c3b4d1c0eed2c25f69583b2088c549a1679cb8  ring-milstein/evolve/evolution.csv
+b7f8daab34cf71c821a882fef90d68e6ecbfb6238d22735665ca541d5ded72d4  ring-milstein/evolve/manifest.json
+95e903135f926746be8476d4a9b3ca2c23d581cb880a460e931f2e689fdfca38  ring-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  ring-taylor15/simulate/snapshot_t0.0.csv
-5143e0f6aab99c540f47689f514eeb2c98317d2b58f92d3903f118a8709217dc  ring-taylor15/simulate/snapshot_t1.0.csv
-06cd5f17e6dcad680f411fba9b17465b4c929228ae61b1f2d1442806d4bbd7ee  ring-taylor15/simulate/snapshot_t5.0.csv
-c8429bedd4ea74ad65e46a21e0ca4766faa07865895c6155eb88c47814aa6aec  ring-taylor15/evolve/evolution.csv
-6faa753f3896529e5abe7d7fad689002da800adb40d863bbdc8ea958b3dde4d5  ring-taylor15/evolve/manifest.json
-e146a29b81d4d8f58c201c6d3de9546f272bdcd33a098af06942e4cab08eed1f  smallworld-milstein/simulate/manifest.json
+abd21f1f0575820b31a989b257a21bbf493e0a5828c5e58a61adf6c403082e14  ring-taylor15/simulate/snapshot_t1.0.csv
+7feddbba78f2b1c3847c86e5d06b68a14e56b924291f01ae7ff2d4782752f795  ring-taylor15/simulate/snapshot_t5.0.csv
+aab2b5b9485151d4ff907ad434b2f8c61f08cdf9ee2d41f9e85adda878aea702  ring-taylor15/evolve/evolution.csv
+bb714a048cfe3262d7fa2abece73d9a9aacfaf171ba850df1402bfb5291f1955  ring-taylor15/evolve/manifest.json
+6778acc241a042d1f940a7d68dc1e6e346978410e1e05f3522977a7a72f07642  smallworld-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  smallworld-milstein/simulate/snapshot_t0.0.csv
-7c6b2323484dea0148837b0b514ff0753e9f7a2b89b8695747df9be9548e8f5b  smallworld-milstein/simulate/snapshot_t1.0.csv
-5659c80596ff4fd20e045e86ac8071430fa29c609f1acd4bc502ab85c3686126  smallworld-milstein/simulate/snapshot_t5.0.csv
-6bec17a094eddbb53ba3f4c76c8a1e7b7f9660ac5957983965fe42cd67cb340b  smallworld-milstein/evolve/evolution.csv
-ed5111d3384368d90ffc85c6a70fb37ae7381506c6bd7164145494f22a91c4e3  smallworld-milstein/evolve/manifest.json
-f2a559c534a23acf6cd47aa9056b0d9432dff1210a1c2f408e2d5ae667d0c9cd  smallworld-taylor15/simulate/manifest.json
+2c01a9a211c263f390ddd14d826c1e00dbd09cc6948674e629970d91faf20f80  smallworld-milstein/simulate/snapshot_t1.0.csv
+aebc43002d3bfeccb5f980c0bd4d0e0b5d513652440facef8379ccc73de58b0a  smallworld-milstein/simulate/snapshot_t5.0.csv
+48c502144806e1588a6cbd4cb48bebfff6ad6ff13e0870cf56bab84f2cbe2a04  smallworld-milstein/evolve/evolution.csv
+f02bf8378cef36e824ea8e1fe9af6d05d3d859c8fe319c4c64ceabe5b3833b21  smallworld-milstein/evolve/manifest.json
+bf64ba21284099ba805728d1f501ae5fbd7938711a96cbc9184b63582806b3f6  smallworld-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  smallworld-taylor15/simulate/snapshot_t0.0.csv
-558df7db415831ce109586d1111354549dc6cb2031293e1965e48b96d806e2ed  smallworld-taylor15/simulate/snapshot_t1.0.csv
-39015799745512fd4988a686721f88b4fe89f96b91448444462ab08c6d8aab3d  smallworld-taylor15/simulate/snapshot_t5.0.csv
-0d45ac20302a329dcb2d777135791878f2dce30e54c9ac60652dae714806d9fd  smallworld-taylor15/evolve/evolution.csv
-d5d9a75605c92c8f1c4e38249f15e34e3ad757397af4854aaaa216030492f490  smallworld-taylor15/evolve/manifest.json
-1503fe3e6205d74f70da4ae9a3f4b331a7ae21d731c0eeb1dccafc8a05eaf0d8  meanfield-milstein/simulate/manifest.json
+c15e2e78034085ec197455740b829a0985a10882fb4699230ee042d23e0b4860  smallworld-taylor15/simulate/snapshot_t1.0.csv
+48370c346ad53a99b6d29d767142e6187f83855e7da2c3bf8a511534803321c2  smallworld-taylor15/simulate/snapshot_t5.0.csv
+424bb8d4904ed3bf079206ee85a385f8a818fc6b7c886a177846ef97e1e13bd7  smallworld-taylor15/evolve/evolution.csv
+c0a296912584725abfb88a5cae310d8f67c9ce4326c551d20bb6b923192dc984  smallworld-taylor15/evolve/manifest.json
+15abb7ddff6addbe121b3dab7d296acc68ff8d63a7f2f98dfefbbc9ba92b3a50  meanfield-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  meanfield-milstein/simulate/snapshot_t0.0.csv
-69534f7b6017fd7a430c0ecafb6dcccd6cac647cc4fd18b9aee538b043a985ed  meanfield-milstein/simulate/snapshot_t1.0.csv
-0c806059ed86ac0bb4ca8230055fc451d03f050d9caed7f02fe7d41e221d19c7  meanfield-milstein/simulate/snapshot_t5.0.csv
-55c9d73e3b1dcfdbf903199022e57a675bb06014f2d17ae9be0b23a18b620adb  meanfield-milstein/evolve/evolution.csv
-d4880cb347d8d16b7c20dbbf1fefaa67bf1aa63e21c6fd4510944e663769b3da  meanfield-milstein/evolve/manifest.json
-d30c9defebeececa9f0fc37389f256ecfdc7fe84ef8fd898acd19a4322354ea0  meanfield-taylor15/simulate/manifest.json
+3e0293dcaf8a530587445c439f99ecb98e9527efb68768575f9c03eb05beb735  meanfield-milstein/simulate/snapshot_t1.0.csv
+ece99b1800513afa17c7e07d3cc04705cfb7638cd14782bdd8784789696d5df8  meanfield-milstein/simulate/snapshot_t5.0.csv
+fabedbff788c41d7a7cb4e8f75214443c928bd6d1ec077c8d61903b5c8ff6578  meanfield-milstein/evolve/evolution.csv
+d7cfe713015cd72ef012e62e45885e97227c50c53ee9111d129f4cc89138d3fc  meanfield-milstein/evolve/manifest.json
+702fac0d73a3951b12f12bbcd3a10bd59439c43cacf5128d5a8911e3ffa6c069  meanfield-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  meanfield-taylor15/simulate/snapshot_t0.0.csv
-ad195a7e0f68cbeba3f1e04480cc19afe7c8d144f880b223ec1b9ebce52d46ee  meanfield-taylor15/simulate/snapshot_t1.0.csv
-a15ea335c507944ba248f6967ced79d99a0d60fcfa01972d95d4956c555c6351  meanfield-taylor15/simulate/snapshot_t5.0.csv
-a0a88d059673d92b4ccf6a3979b79b81068850fb16a04f3e4c259aad8a7f4619  meanfield-taylor15/evolve/evolution.csv
-75fd19449c4d3ffe28171907b22c1b8ab479ffbcc55634c9f3b91e80b071ffeb  meanfield-taylor15/evolve/manifest.json
-3fe9beadedc091740825bf24627469c9d7245a9946e484a22e28289adf047b0e  eft-milstein/simulate/manifest.json
+ea5880b1dd043a78a6bf9ad5ade6450b965a6d1a38727df0b11d8e83da9aef2f  meanfield-taylor15/simulate/snapshot_t1.0.csv
+372e5b869537a49f83c7661d46452e75756d3895c835cab54c490189289e5580  meanfield-taylor15/simulate/snapshot_t5.0.csv
+8d799c2793e5f33fbabb7fbca22b45921837c49a5466b2215eef1672a0a6815c  meanfield-taylor15/evolve/evolution.csv
+9ef1554a38152ad4d190924c7c4e23cf1decb81f27b5fc22d564c403b70fb212  meanfield-taylor15/evolve/manifest.json
+484ca2d48679a8212ea8798f6f209683ba9387bba066b97a359df9ceb0351c7d  eft-milstein/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  eft-milstein/simulate/snapshot_t0.0.csv
-92d5ba3421d8a1bc4f71d1dbd20a1c3dc1dfe9619f367d3d995c04c84d5f7e51  eft-milstein/simulate/snapshot_t1.0.csv
-51dcfef8be8aeb100b3fda09ad031753ce48700b879bbef80504310f2005cfc0  eft-milstein/simulate/snapshot_t5.0.csv
-e6a0dc00b99f7583088f14b562e2f4a0fede8f75cd3f71e14109adc6b0cb3d20  eft-milstein/evolve/evolution.csv
-513f5ed68692c8ec7a5f691965d7bbaf6e2f74966cc39bf10f5a641067dc9422  eft-milstein/evolve/manifest.json
-a145da3c8b738c624d1cc564ad5a0488373e279677b9997da3767ae4e87f0412  eft-taylor15/simulate/manifest.json
+62d72b0e570d3ec4fa28f708bedada3aee3e20d0b708fa46fc7b9a8985093274  eft-milstein/simulate/snapshot_t1.0.csv
+03a234f8c9c44e869ef7296a8493f7bd7a269c3e48c1cdc5a2d58669b58a4b31  eft-milstein/simulate/snapshot_t5.0.csv
+37756d6ec339e500d136fcbc58a4eab66f99c93d3acd03a3ce28aafbdbd5425e  eft-milstein/evolve/evolution.csv
+f8211fa6aecbf2382d605b55b0e14b5a61e806d8d5e0df08278f26f3b4e9b21d  eft-milstein/evolve/manifest.json
+1bd65ffc03d52912bc4207bb843e3df6fca66cd6025dc5bc1ac3b506f6ecb080  eft-taylor15/simulate/manifest.json
 7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  eft-taylor15/simulate/snapshot_t0.0.csv
-026ccbb3b2d945d0b42d77294a6be3fa6460d3c45e4a4d818f39b1d03bcb57ec  eft-taylor15/simulate/snapshot_t1.0.csv
-7d5e316cefd3328cd25229593cc50e28cf9586de8b06b39bff267c3fa756ed37  eft-taylor15/simulate/snapshot_t5.0.csv
-1f2bf7880e1b408d6e3040b58d24a3d13f86da91726245e3cb9d2fb8c01ef1f0  eft-taylor15/evolve/evolution.csv
-db6c1a1ad9f98fe15cc6fcad1e475ee09cb7d4b7fef45987d7c36a4bb9dda270  eft-taylor15/evolve/manifest.json
-05f540ecef7f40e093650b9a9b80cfc96b818f060a61019ec491be1e3bdbe024  smallworld-milstein-gaussian/simulate/manifest.json
+a4f14d20f0a3a3a408eba0db103cab15286602800c4daaadfd2c91069a4c1fc9  eft-taylor15/simulate/snapshot_t1.0.csv
+5b866fdeb3280e5b32c47d30ef9a391af7ffd6b022857ef141a4827f3bfe82fb  eft-taylor15/simulate/snapshot_t5.0.csv
+93fc532c22ed61c8f53527c45d6486172add767096cd640968514b494cc8b58b  eft-taylor15/evolve/evolution.csv
+f35c5d2255c888d72656955167b41acee0196c331ae59f6b195506722e8306e6  eft-taylor15/evolve/manifest.json
+f8df6dc3cf16409ce849e3c093894ffbfe7732031aead631b93c7cfeb80e9c57  smallworld-milstein-gaussian/simulate/manifest.json
 cb7558f6c3984ee22b506f20fca40c24282ef197485c7446a0eea1cfa71a9a80  smallworld-milstein-gaussian/simulate/snapshot_t0.0.csv
-3170fbab7cef747eb59507b72dc1eec6f5999591e7f234253d8c9328b5e15660  smallworld-milstein-gaussian/simulate/snapshot_t1.0.csv
-bc68a59476102e80d37b03efd1b0a2026cb6df60c0dd613034464294b74b2283  smallworld-milstein-gaussian/simulate/snapshot_t5.0.csv
-ed187ea83c6dc8846844ebb598f40abddd05669a38ab6e697a55e818f9a0fc88  smallworld-milstein-gaussian/evolve/evolution.csv
-23235c801fa1dd29afc184a4007bdd477ae20dd624442f60a44c9fffed0b490c  smallworld-milstein-gaussian/evolve/manifest.json
-ede9ec5c705ebd763ba764c913703216dded4448ecffb8dba28971c4b19d7ed1  convergence-milstein/convergence/convergence_milstein.json
-09092dc80be30673ec52ec737423dafc749b2cef07220a6ef2408d2f037e97be  convergence-taylor15/convergence/convergence_taylor15.json
-8c9196edfc16a8cfd41d9d1bb1457dbf947c48a8ea586e1a5881dba2affc832e  fig2/reproduce/evolution_rann_p0.003.csv
-02be2496a52a7ed1781b93dd6d62a1842f1ab157ceacf1e7b813a9c2988bdd63  fig2/reproduce/gof_rann_p0.003.json
+a60e3cc0fecc4c0dfb830a9fdff806b8fe33db85c83af8a22783d3da99fbadeb  smallworld-milstein-gaussian/simulate/snapshot_t1.0.csv
+32afe7fd259b4be1ef78032ac4f1c96fae2d4e7b221f513efedb2a736b7c5d49  smallworld-milstein-gaussian/simulate/snapshot_t5.0.csv
+e0746813254dfd46daa9891bc0940464eb8882ea4b99557e954f7f15ffc26a92  smallworld-milstein-gaussian/evolve/evolution.csv
+fe45568901b05b07b97e0a767f650ca1970ea0badb8c17212b73a1e06f262419  smallworld-milstein-gaussian/evolve/manifest.json
+7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  ring-taylor15-s0.1/simulate/snapshot_t0.0.csv
+15b4f6c551a94b98f5182bd4c702500f59cde2aa31ca45a9aec92e726e6942a4  ring-taylor15-s0.1/simulate/snapshot_t1.0.csv
+d63e22649f77e55789380662a31128e16cf51e2f67442ac9adac5ce81c68f751  ring-taylor15-s0.1/simulate/snapshot_t5.0.csv
+f77f8e40b25525fb260667368f2f30440d9e483cd38a7d27b3836ce87513b6cc  ring-taylor15-s0.1/evolve/evolution.csv
+7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  smallworld-milstein-s0.1/simulate/snapshot_t0.0.csv
+395c6f82687a97804dce7a1f8f28d842f2a0733dd438ef86d3b050c31a292221  smallworld-milstein-s0.1/simulate/snapshot_t1.0.csv
+35aee2e9d7878db172d2c4f55a33cd547a26179822970c4721ea407f3c8dbc2f  smallworld-milstein-s0.1/simulate/snapshot_t5.0.csv
+78431e0877558470fbfe3b37a75d52c2995c0efc97410732d172df232e2b3df8  smallworld-milstein-s0.1/evolve/evolution.csv
+7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  meanfield-milstein-s0.1/simulate/snapshot_t0.0.csv
+50fce05825e9fb5dc32d775cc8f4eceb7f7711736bcb164803e139d211671f4a  meanfield-milstein-s0.1/simulate/snapshot_t1.0.csv
+b2b32896c65495a7338201024fbb6880bd07034b5397db0614df95989cf1870e  meanfield-milstein-s0.1/simulate/snapshot_t5.0.csv
+342bf14f05605d72e6a3b9de58ad433e9b9b818659977ef0f1a1a3d2741c3787  meanfield-milstein-s0.1/evolve/evolution.csv
+7f19869735ba019ab832de06ff3f5683bf2fc731b37ae1423029baa5a1761ec5  eft-milstein-s0.1/simulate/snapshot_t0.0.csv
+5a3c525177422a2f693416a30848383fa1bdddeebed974c6136342d1df0bc259  eft-milstein-s0.1/simulate/snapshot_t1.0.csv
+8318244daf78fef0fd8e9b3583da744884dea382cc5f7c3c8e9fe350c3227272  eft-milstein-s0.1/simulate/snapshot_t5.0.csv
+ec2321851a8d0564ff09b9e7dcb7bc17e066e5f59dab83f5e59f26ccb56fdde4  eft-milstein-s0.1/evolve/evolution.csv
+cb7558f6c3984ee22b506f20fca40c24282ef197485c7446a0eea1cfa71a9a80  smallworld-milstein-gaussian-s0.1/simulate/snapshot_t0.0.csv
+fecaf45dc17303d2e519bc8f8d73eb890c860bd5f2a81b4f8b658199c2731e02  smallworld-milstein-gaussian-s0.1/simulate/snapshot_t1.0.csv
+4df1f95376f48cbb561377f16180c1366f293691d322e4014aab5abd1679e6c4  smallworld-milstein-gaussian-s0.1/simulate/snapshot_t5.0.csv
+296f2b3644ca6dacbf978dbad4a8e2989d2367d1270c25332a0f174ec0f53986  smallworld-milstein-gaussian-s0.1/evolve/evolution.csv
+9d74b44ba6ccb78b93acc620e6c87e3a45b5d3fb0ac41dc377d53c5d5f2e24ed  convergence-milstein/convergence/convergence_milstein.json
+1f36d754aeade40c76a97ac8463aa5d1502808d37af21da01d7dfc1adbea1262  convergence-taylor15/convergence/convergence_taylor15.json
+2dd47e22abdb548b099a56834bd4f515917375bd70bad35e1072af1747bc7f3b  fig2/reproduce/evolution_rann_p0.003.csv
+06be25d42b634c81a34c20f013f085999f043757ff1fe8909f1b625024abb622  fig2/reproduce/gof_rann_p0.003.json
 511c489aca1a8dd36b7e083aee8db413cc7da59acda29b4000a793e1909d646a  fig2/reproduce/hist_rann_p0.003_t1.0.csv
-7e03358d126ff50f4d3a76d9e9abac1d413032ae9c0a91a91ddaedb16cacaede  fig2/reproduce/hist_rann_p0.003_t500.0.csv
-3545d1f57f3fa202c0a1ba90e02794ec35ab0b2ac371e8278807c8df2724f4f3  fig2/reproduce/manifest.json
-e426be53d9490c22c1217fcb31324e78f5a1be6cea42113aa77ac07eae6bdbe0  fig5/reproduce/evolution_eft_g0.4.csv
-16b3698d55a6b9c415e8ed58e371812978214ccf2f0145b5dc566e8282684b76  fig5/reproduce/evolution_eft_g0.5.csv
-b36467de382541a7d9c00111275baff23c3457c807f87415f336f443c850dc85  fig5/reproduce/evolution_eft_g0.6.csv
-f3103ba19acb3569629cc2fc426d3ccff4c6e4477dc33025d6dbb494afe374e6  fig5/reproduce/evolution_eft_g0.8.csv
-57817b0c00b88cd0f3060775dec9f89823d4d4f9b9f0d7f249acfef75f7cc786  fig5/reproduce/manifest.json
+71bd547a2e370d1943bb429472e5f4689ee782644b2bcd26fb093e2764bc60c6  fig2/reproduce/hist_rann_p0.003_t500.0.csv
+7316236870ac1b7640a966d614a128e87a1722d6186a878c38257dcaa349e30c  fig2/reproduce/manifest.json
+3940b88679cace0340654220ba5617303fcedcb2daba3892969009a64ce9a9c2  fig5/reproduce/evolution_eft_g0.4.csv
+2746446e5377b73db38919a83e43b6c3232410a0a2cc4373fb9834fb02f3e4b5  fig5/reproduce/evolution_eft_g0.5.csv
+b6d33ed46e1e26c2139b1c1fb4785655910b940356fcdc5cffdbeac4ce466def  fig5/reproduce/evolution_eft_g0.6.csv
+aba9b097019c2b693787ea468ce170ba03e14945fbcfbfb6cfee31bc71b51094  fig5/reproduce/evolution_eft_g0.8.csv
+a4c62b0580d562045af044d3f483fa3c1c31eab15397a3b36236090ea97e8d0e  fig5/reproduce/manifest.json
 6e5f3276bb349643d12bc8e3b53652d96ae439042f6e9a1fd61c3ef8357464af  fig1/plan/runs
 3bca2db36df0ad369eba1a6068e8e8e7d31c1e8106aba46b0ea4f57bbd478958  fig2/plan/runs
 4bac678b720f9d418037702c156b2aa28aa39ba81472b2cc5efeec76113cd1b7  fig3/plan/runs
@@ -246,10 +294,10 @@ def _run(tmp_path, case, command) -> dict:
     elif command == "convergence":
         args = ["--scheme", case.split("-", 1)[1], "--paths", "200"]
     else:
-        kind, scheme, init = CASES[case]
+        kind, scheme, init, sigma2 = {**CASES, **EXACT_SIGMA2_CASES}[case]
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG.format(dynamics=DYNAMICS[kind], scheme=scheme,
-                                      init=init))
+                                      init=init, sigma2=sigma2))
         args = ["--config", str(path)]
     assert cli.main([command, *args, "--out", str(out)]) == 0
     return _hashes(out)
@@ -259,6 +307,14 @@ def _run(tmp_path, case, command) -> dict:
 @pytest.mark.parametrize("case", list(CASES))
 def test_cli_outputs_unchanged(tmp_path, case, command):
     assert _run(tmp_path, case, command) == GOLDEN[f"{case}/{command}"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "evolve"])
+@pytest.mark.parametrize("case", list(EXACT_SIGMA2_CASES))
+def test_outputs_at_exact_sigma2_unchanged(tmp_path, case, command):
+    hashes = _run(tmp_path, case, command)
+    del hashes["manifest.json"]
+    assert hashes == GOLDEN[f"{case}/{command}"]
 
 
 @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
@@ -293,7 +349,7 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
-    runs = [(case, command) for case in CASES
+    runs = [(case, command) for case in {**CASES, **EXACT_SIGMA2_CASES}
             for command in ("simulate", "evolve")]
     runs += [(f"convergence-{s}", "convergence")
              for s in ("milstein", "taylor15")]
@@ -304,5 +360,7 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(sys.stderr):
             hashes = _run(Path(tmp), case, command)
+        if case in EXACT_SIGMA2_CASES:
+            del hashes["manifest.json"]
         for name, digest in hashes.items():
             print(f"{digest}  {case}/{command}/{name}")

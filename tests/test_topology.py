@@ -21,7 +21,7 @@ from bmnet.topology import (build_complete, build_random_smallworld,
                             build_regular_ring)
 from test_engine import naive_ring_neighbors
 
-BASE_PARAMS = ModelParams.from_sigma2(0.05, 0.1)
+BASE_PARAMS = ModelParams(sigma2=0.05, J=0.1)
 
 
 def applied_adjacency(top):
@@ -31,7 +31,7 @@ def applied_adjacency(top):
     the diagonal of degrees; the columns are read one drift at a time
     and must lie within rounding of integers.
     """
-    params = ModelParams(sigma=1.0, J=top.n_divisor)
+    params = ModelParams(sigma2=1.0, J=top.n_divisor)
     coupling = np.column_stack([top.drift(e, params) for e in np.eye(top.N)])
     rounded = np.rint(coupling)
     assert np.abs(coupling - rounded).max() < 1e-9
