@@ -21,7 +21,7 @@ from . import engine
 from .config import (_KINDS, ExperimentConfig, config_to_text, load_config,
                      load_model, parse_config_text)
 from .distributions import stationary_giga, theta_of_gamma
-from .engine import simulate, strong_convergence_study
+from .engine import ModelParams, simulate, strong_convergence_study
 from .errors import ConfigError, PositivityError
 from .gof import DEFAULT_BOOTSTRAP_B, GofReport, ks_pvalue_bootstrap
 
@@ -412,11 +412,11 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(args.config, seed=args.seed, out_dir=args.out)
         if args.command == "theta":
-            sigma2, J = (load_model(args.config) if args.config is not None
-                         else (_DEFAULT_SIGMA2, _DEFAULT_J))
-            return cmd_theta(J=J if args.J is None else args.J,
-                             sigma2=sigma2 if args.sigma2 is None else args.sigma2,
-                             out_dir=args.out)
+            model = (load_model(args.config) if args.config is not None
+                     else ModelParams(sigma2=_DEFAULT_SIGMA2, J=_DEFAULT_J))
+            return cmd_theta(J=model.J if args.J is None else args.J,
+                             sigma2=(model.sigma2 if args.sigma2 is None
+                                     else args.sigma2), out_dir=args.out)
         if args.command == "convergence":
             try:
                 dts = ([float(v) for v in args.dts.split(",")]

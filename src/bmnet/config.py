@@ -152,15 +152,14 @@ def _str_list(value: str):
     return _distinct(tuple(v.strip() for v in value.split(",") if v.strip()))
 
 
-def _model(sections) -> tuple:
-    """The [model] sigma2 and J, checked and as written."""
+def _model(sections) -> ModelParams:
+    """The [model] sigma2 and J as written, checked by ModelParams."""
     sigma2 = _get(sections, "model", "sigma2", _finite)
     J = _get(sections, "model", "J", _finite)
-    if sigma2 <= 0:
-        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    if J < 0:
-        raise ConfigError(f"J must be nonnegative, got {J}")
-    return sigma2, J
+    try:
+        return ModelParams(sigma2=sigma2, J=J)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config_text(text: str, origin: str = "<config>",
@@ -175,7 +174,7 @@ def parse_config_text(text: str, origin: str = "<config>",
         if required not in sections:
             raise ConfigError(f"missing section [{required}]", origin)
 
-    sigma2, J = _model(sections)
+    params = _model(sections)
     n_agents = _get(sections, "run", "N", int)
     dt = _get(sections, "run", "dt", _finite)
     t_end = _get(sections, "run", "t_end", _finite)
@@ -197,7 +196,7 @@ def parse_config_text(text: str, origin: str = "<config>",
         if key in sections.get("dynamics", {}) and key != extra:
             _, where = sections["dynamics"][key]
             raise ConfigError(f"key {key!r} not valid for kind {kind!r}", where)
-    if kind == "eft" and J == 0:
+    if kind == "eft" and params.J == 0:
         raise ConfigError("eft dynamics needs J > 0: theta is undefined at "
                           "J = 0", sections["model"]["J"][1])
     value = _get(sections, "dynamics", extra, _finite) if extra else None
@@ -210,10 +209,9 @@ def parse_config_text(text: str, origin: str = "<config>",
         raise ConfigError("topology n_divisor must be positive for network "
                           "dynamics", sections["dynamics"]["p_sw"][1])
 
-    sim = SimConfig(params=ModelParams(sigma2=sigma2, J=J), dynamics=None,
-                    scheme=scheme or default_scheme, N=n_agents,
-                    dt=dt, t_end=t_end, snapshot_times=snapshot_times,
-                    init_sd=init_sd, seed=seed)
+    sim = SimConfig(params=params, dynamics=None, N=n_agents,
+                    scheme=scheme or default_scheme, dt=dt, t_end=t_end,
+                    snapshot_times=snapshot_times, init_sd=init_sd, seed=seed)
     try:
         sim.validate()
         unknown = set(families) - set(FAMILIES)
@@ -229,7 +227,7 @@ def parse_config_text(text: str, origin: str = "<config>",
         raise ConfigError(str(exc)) from exc
 
     resolved = {
-        "model": {"sigma2": sigma2, "J": J},
+        "model": {"sigma2": params.sigma2, "J": params.J},
         "dynamics": {"kind": kind, **({extra: value} if extra else {})},
         "run": {"N": n_agents, "dt": dt, "t_end": t_end,
                 "snapshot_times": ", ".join(repr(t) for t in snapshot_times),
@@ -277,7 +275,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     return parse_config_text(_read(path), origin=str(path), seed=seed_override)
 
 
-def load_model(path) -> tuple:
+def load_model(path) -> ModelParams:
     """Read only the [model] sigma2 and J of a config file; the other
     sections are checked for unknown keys but not resolved."""
     return _model(_parse_sections(_read(path), str(path)))

@@ -13,11 +13,11 @@ exp(sigma^2 t) growth of the raw wealth: W_i = w_i exp(sigma^2 t).
 Each dynamics class holds the one implementation of its drift, and of
 its Jacobian product and curvature term sigma^2 w^2 f'' for the order
 1.5 scheme.  The complete graph and the mean-field limit share one
-function for their common law.  A network dynamics holds its own graph:
-the builders of :mod:`bmnet.topology` return it, and this module needs
-nothing from that one.  Both strong integrators for diagonal noise,
-Milstein (order 1.0) and the order 1.5 strong Taylor scheme, take the
-dynamics and share one loop.
+function for their common law.  A network dynamics applies the linear
+coupling operator that its builder in :mod:`bmnet.topology` hands over,
+so this module knows no graph and imports nothing from that one.  Both
+strong integrators for diagonal noise, Milstein (order 1.0) and the
+order 1.5 strong Taylor scheme, take the dynamics and share one loop.
 
 Noise is counter-based: the Gaussian increments of step k come from a
 Philox stream keyed by the run seed with the step index in the counter,
@@ -162,9 +162,6 @@ def _increments(z: np.ndarray) -> tuple:
     return (z[:, 0], z[:, 1]) if z.ndim == 3 else (z, None)
 
 
-# graph kinds of NetworkDynamics, which bmnet.topology builds
-COMPLETE, REGULAR_RING, RANDOM_SMALLWORLD = (
-    "complete", "regular_ring", "random_smallworld")
 _NO_ENTRIES = np.empty(0, dtype=np.int32)
 _NO_ENTRIES.setflags(write=False)
 
@@ -178,61 +175,24 @@ class NetworkDynamics:
     """Pairwise exchange on a fixed graph, as the builders of
     :mod:`bmnet.topology` return it.
 
-    ``N`` agents; ``graph`` is ``complete``, ``regular_ring`` or
-    ``random_smallworld``; ``n_divisor`` is the n in J_ij = J/n, for the
+    ``N`` agents; ``n_divisor`` is the n in J_ij = J/n, for the
     small-world graph its expected degree p_sw N, not a realized one.
-    ``indptr``, ``indices`` and ``degrees`` are the small-world graph's
-    CSR index arrays and realized degrees, and empty for the others.
-
-    The drift and the Jacobian products of the order-1.5 scheme are one
-    linear coupling operator, picked here once.  The complete graph
-    applies the mean-field law and the ring lattice a circulant window
-    sum from (N, n), both in O(N) and with no adjacency.  The small-world
-    graph applies the graph Laplacian L = A - D that its builder hands
-    over, as one sparse matvec and one in-place scale.
+    ``coupling(v, J)`` is the linear coupling operator that the graph's
+    builder hands over, (J/n) (A - D) v for its adjacency A and degrees
+    D; it is the drift, and the Jacobian product of the order-1.5
+    scheme.  ``indptr``, ``indices`` and ``degrees`` are the CSR index
+    arrays and realized degrees of a graph that stores its adjacency,
+    and empty for the others.
     """
 
     kind = "network"
 
-    def __init__(self, N: int, graph: str, n_divisor: float,
-                 laplacian=None, degrees: np.ndarray = _NO_ENTRIES):
-        self.N, self.graph, self.n_divisor = N, graph, n_divisor
-        self.degrees = degrees
-        self.indptr = self.indices = _NO_ENTRIES
-        if graph == COMPLETE:
-            self._apply = _mean_field_coupling
-        elif graph == REGULAR_RING:
-            self._apply = self._ring_coupling
-        else:
-            self._laplacian = laplacian
-            self.indptr, self.indices = laplacian.indptr, laplacian.indices
-            self._apply = self._laplacian_coupling
-
-    def _laplacian_coupling(self, v: np.ndarray, J: float) -> np.ndarray:
-        out = self._laplacian @ v
-        return np.multiply(out, J / self.n_divisor, out)
-
-    def _ring_coupling(self, v: np.ndarray, J: float) -> np.ndarray:
-        """(J/n) (neighbor sum - n v) on the ring lattice.
-
-        Agent i's neighbors i-h ... i+h (h = n//2, i itself removed), plus
-        the antipode i + N/2 for odd n, form a circulant window, so every
-        window sum is a difference of two prefix sums of the periodically
-        padded vector.  The vector is centred first: rows of the operator
-        sum to zero, so this leaves the result unchanged, and it keeps
-        the prefix sums small, which keeps the drift's ensemble sum
-        within rounding of zero.
-        """
-        N, n = self.N, int(self.n_divisor)
-        h = n // 2
-        u = v - v.mean()
-        c = np.empty(N + 2 * h + 1)
-        c[0] = 0.0
-        np.cumsum(np.concatenate((u[N - h:], u, u[:h])), out=c[1:])
-        s = c[2 * h + 1:] - c[:N] - u
-        if n % 2:
-            s += np.roll(u, -(N // 2))
-        return (J / self.n_divisor) * (s - n * u)
+    def __init__(self, N: int, n_divisor: float, coupling,
+                 indptr: np.ndarray = _NO_ENTRIES,
+                 indices: np.ndarray = _NO_ENTRIES,
+                 degrees: np.ndarray = _NO_ENTRIES):
+        self.N, self.n_divisor, self._apply = N, n_divisor, coupling
+        self.indptr, self.indices, self.degrees = indptr, indices, degrees
 
     def drift(self, w: np.ndarray, params: ModelParams) -> np.ndarray:
         return self._apply(w, params.J)

@@ -4,13 +4,18 @@ Three undirected networks are supported: the complete graph, a regular
 ring lattice, and a random small-world graph where every pair of agents
 is linked independently with a fixed probability.  Each builder returns
 the :class:`~bmnet.engine.NetworkDynamics` of its graph, with the
-divisor ``n`` that defines the pairwise coupling J_ij = J / n.
+divisor ``n`` that defines the pairwise coupling J_ij = J / n and the
+coupling operator v -> (J/n) (A - D) v that the engine applies, A the
+adjacency and D the degrees.  The complete graph applies the mean-field
+law and the ring lattice a circulant window sum, both in O(N) from
+(N, n) and with no adjacency.
 
 Only the small-world graph stores an adjacency: its graph Laplacian
-L = A - D, once, in CSR form with scipy's index dtype.  Each row holds
+L = A - D, once, in CSR form with scipy's index dtype, which its
+operator applies as one sparse product scaled in place.  Each row holds
 the agent's sorted neighbors and then the agent itself, whose slot holds
--degree, so one sparse product sums the neighbors in order and then adds
--deg_i v_i.  No other module of the package knows this layout.  A
+-degree, so the product sums the neighbors in order and then adds
+-deg_i v_i.  No other module of the package knows this matrix.  A
 realization replays from (N, p_sw, seed).
 """
 
@@ -21,14 +26,14 @@ import os
 
 import numpy as np
 
-from .engine import COMPLETE, RANDOM_SMALLWORLD, REGULAR_RING, NetworkDynamics
+from .engine import NetworkDynamics, _mean_field_coupling
 
 
 def build_complete(N: int) -> NetworkDynamics:
     """Complete graph on N agents; coupling divisor N."""
     if N < 2:
         raise ValueError(f"complete network needs N >= 2, got {N}")
-    return NetworkDynamics(int(N), COMPLETE, float(N))
+    return NetworkDynamics(int(N), float(N), _mean_field_coupling)
 
 
 def build_regular_ring(N: int, n: int) -> NetworkDynamics:
@@ -44,7 +49,30 @@ def build_regular_ring(N: int, n: int) -> NetworkDynamics:
         raise ValueError(f"ring degree must satisfy 1 <= n <= N-1, got n={n}")
     if n % 2 == 1 and N % 2 == 1:
         raise ValueError(f"odd ring degree n={n} requires even N, got N={N}")
-    return NetworkDynamics(int(N), REGULAR_RING, float(n))
+    N, n = int(N), int(n)
+    h, n_divisor = n // 2, float(n)
+
+    def coupling(v: np.ndarray, J: float) -> np.ndarray:
+        """(J/n) (neighbor sum - n v) on the ring lattice.
+
+        Agent i's neighbors i-h ... i+h (h = n//2, i itself removed),
+        plus the antipode i + N/2 for odd n, form a circulant window, so
+        every window sum is a difference of two prefix sums of the
+        periodically padded vector.  The vector is centred first: rows
+        of the operator sum to zero, so this leaves the result
+        unchanged, and it keeps the prefix sums small, which keeps the
+        drift's ensemble sum within rounding of zero.
+        """
+        u = v - v.mean()
+        c = np.empty(N + 2 * h + 1)
+        c[0] = 0.0
+        np.cumsum(np.concatenate((u[N - h:], u, u[:h])), out=c[1:])
+        s = c[2 * h + 1:] - c[:N] - u
+        if n % 2:
+            s += np.roll(u, -(N // 2))
+        return (J / n_divisor) * (s - n * u)
+
+    return NetworkDynamics(N, n_divisor, coupling)
 
 
 def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkDynamics:
@@ -105,5 +133,12 @@ def build_random_smallworld(N: int, p_sw: float, seed: int) -> NetworkDynamics:
     data[indptr[1:] - 1] = -degrees
     # the index arrays have scipy's index dtype, so no copy is made
     laplacian = sp.csr_matrix((data, indices, indptr), shape=(N, N))
-    return NetworkDynamics(int(N), RANDOM_SMALLWORLD, float(p_sw * N),
-                           laplacian, degrees)
+    n_divisor = float(p_sw * N)
+
+    def coupling(v: np.ndarray, J: float) -> np.ndarray:
+        """(J/n) L v: one sparse product, scaled in place."""
+        out = laplacian @ v
+        return np.multiply(out, J / n_divisor, out)
+
+    return NetworkDynamics(int(N), n_divisor, coupling, laplacian.indptr,
+                           laplacian.indices, degrees)

@@ -318,6 +318,8 @@ class TestMalformedValues:
         ("seed = 42", "seed = -1"),
         ("seed = 42", "seed = 18446744073709551616"),
         ("sigma2 = 0.05", "sigma2 = nan"),
+        ("sigma2 = 0.05", "sigma2 = 0"),
+        ("sigma2 = 0.05", "sigma2 = -0.05"),
         ("J = 0.1", "J = nan"),
         ("J = 0.1", "J = inf"),
         ("J = 0.1", "J = -0.1"),
@@ -336,8 +338,9 @@ class TestMalformedValues:
         ("snapshot_times = 0, 0.5, 1", "snapshot_times = 0, 0.5, 1, 2"),
         ("dt = 0.01", "dt = -0.01"),
         ("N = 100", "N = 0"),
-    ], ids=["seed-negative", "seed-2**64", "sigma2-nan", "J-nan", "J-inf",
-            "J-negative", "eft-J-0", "t_end-inf", "dt-nan",
+    ], ids=["seed-negative", "seed-2**64", "sigma2-nan", "sigma2-zero",
+            "sigma2-negative", "J-nan", "J-inf", "J-negative", "eft-J-0",
+            "t_end-inf", "dt-nan",
             "snapshot-inf", "init-sd-nan", "init-sd-text", "unknown-family",
             "fit-time-not-snapshot", "bootstrap_B-0", "t_end-off-grid",
             "snapshot-off-grid", "snapshot-after-t_end", "dt-negative",
@@ -371,7 +374,8 @@ class TestMalformedValues:
         assert not (tmp_path / "x").exists()
 
     def test_zero_smallworld_probability_exits_2(self, tmp_path, capsys):
-        # checked on the built graph: it leaves no coupling divisor
+        # refused by the parse, before any graph is built: p_sw = 0
+        # leaves no coupling divisor
         text = MINIMAL.replace("kind = meanfield",
                                "kind = smallworld\np_sw = 0")
         assert cli.main(["evolve", "--config", write_config(tmp_path, text),
@@ -503,8 +507,9 @@ class TestThetaCommand:
                 == (tmp_path / "b" / "theta_table.csv").read_bytes())
 
     @pytest.mark.parametrize("old, new", [
-        ("J = 0.1", "J = 0.1\nbogus = 1"), ("[fit]", "[bogus]")],
-        ids=["unknown-key", "unknown-section"])
+        ("J = 0.1", "J = 0.1\nbogus = 1"), ("[fit]", "[bogus]"),
+        ("sigma2 = 0.05", "sigma2 = 0")],
+        ids=["unknown-key", "unknown-section", "sigma2-zero"])
     def test_unknown_config_entries_exit_2(self, tmp_path, old, new):
         text = MINIMAL.replace(old, new)
         assert cli.main(["theta", "--config", write_config(tmp_path, text),

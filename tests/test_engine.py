@@ -1,5 +1,6 @@
 """Drift operators, integrator steps, noise streams and full runs."""
 
+import inspect
 import math
 from collections import Counter
 
@@ -183,6 +184,13 @@ def naive_ring_neighbors(N, n, i):
     return k[((d >= 1) & (d <= n // 2)) | ((n % 2 == 1) & (d == N // 2))]
 
 
+def held(top):
+    """What a network dynamics holds: its attributes and the variables
+    that its coupling operator closes over."""
+    return [*vars(top).values(),
+            *inspect.getclosurevars(top._apply).nonlocals.values()]
+
+
 # n = 1, 2, odd with antipode, and n = N - 1 for even and odd N
 RING_CASES = [(4, 1), (2000, 1), (5, 2), (2000, 2), (1999, 2), (2000, 7),
               (10, 3), (1000, 101), (12, 11), (2000, 1999), (13, 12),
@@ -211,10 +219,10 @@ class TestRingOperator:
 
     def test_ring_holds_no_sparse_matrix(self):
         ring = build_regular_ring(1000, 10)
-        assert not any(sp.issparse(v) for v in vars(ring).values())
+        assert not any(sp.issparse(v) for v in held(ring))
         # the small-world graph has no closed form and keeps its matrix
         sw = build_random_smallworld(100, 0.1, seed=1)
-        assert any(sp.issparse(v) for v in vars(sw).values())
+        assert any(sp.issparse(v) for v in held(sw))
 
 
 class TestMeanFieldDrift:
@@ -393,7 +401,10 @@ class TestDegreeSlot:
         A = self._neighbor_matrix(top)
         deg = top.degrees.astype(float)
         v = np.random.default_rng(seed).normal(size=N)
-        assert np.array_equal(top._laplacian @ v, A @ v - deg * v)
+        # the operator's own matrix, also at p_sw = 0, which has no
+        # divisor to scale by
+        [laplacian] = [x for x in held(top) if sp.issparse(x)]
+        assert np.array_equal(laplacian @ v, A @ v - deg * v)
         if top.n_divisor > 0:
             scale = BASE_PARAMS.J / top.n_divisor
             assert np.array_equal(top.drift(v, BASE_PARAMS),
@@ -405,21 +416,23 @@ class TestDegreeSlot:
         assert isolated.any() and not isolated.all()
         A = self._neighbor_matrix(top)
         v = np.random.default_rng(3).gamma(2.0, 1.0, 30)
-        out = top._laplacian @ v
+        # J = n scales L v by exactly 1
+        out = top.drift(v, ModelParams(sigma2=1.0, J=top.n_divisor))
         expected = A @ v - top.degrees * v
         assert out.tobytes() == expected.tobytes()
         assert np.all(out[isolated] == 0.0)
         assert not np.signbit(out[isolated]).any()
 
 
-def _dense_adjacency(top):
-    """The adjacency matrix of a topology, entry by entry."""
+def _dense_adjacency(case, top):
+    """The adjacency matrix of an ``ORACLE_CASES`` topology, entry by
+    entry."""
     N = top.N
     A = np.zeros((N, N))
-    if top.graph == "complete":
+    if case == "complete":
         A[:] = 1.0
         np.fill_diagonal(A, 0.0)
-    elif top.graph == "regular_ring":
+    elif case.startswith("ring"):
         for i in range(N):
             A[i, naive_ring_neighbors(N, int(top.n_divisor), i)] = 1.0
     else:
@@ -440,9 +453,10 @@ ORACLE_CASES = {
 }
 
 
-def _derivatives(dyn, w, params):
-    """Drift, Jacobian matrix and f'' (None if the drift is linear),
-    written out from the model rather than from the dynamics' methods."""
+def _derivatives(case, dyn, w, params):
+    """Drift, Jacobian matrix and f'' (None if the drift is linear) of an
+    ``ORACLE_CASES`` dynamics, written out from the model rather than
+    from the dynamics' methods."""
     J, N = params.J, w.size
     if dyn.kind == "eft":
         g, th = dyn.gamma_eft, dyn._theta(params)
@@ -452,7 +466,7 @@ def _derivatives(dyn, w, params):
     if dyn.kind == "meanfield":
         jac = J * (np.full((N, N), 1.0 / N) - np.eye(N))
     else:
-        A = _dense_adjacency(dyn)
+        A = _dense_adjacency(case, dyn)
         jac = (J / dyn.n_divisor) * (A - np.diag(A.sum(axis=1)))
     return jac @ w, jac, None
 
@@ -467,7 +481,7 @@ def test_taylor15_step_matches_written_out_scheme(case):
     N = 60 if case == "smallworld" else 40
     w = rng.gamma(3.0, 0.4, N) + 0.05
     db, dz = noise(11, 0, N, dt, with_dz=True)
-    f, jac, fpp = _derivatives(dyn, w, params)
+    f, jac, fpp = _derivatives(case, dyn, w, params)
     s2, c = params.sigma2, math.sqrt(2.0) * params.sigma
     l0 = jac @ f + (0 if fpp is None else s2 * w * w * fpp)
     expected = (w + f * dt + c * w * db + s2 * w * (db * db - dt)

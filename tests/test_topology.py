@@ -19,7 +19,7 @@ from bmnet import topology
 from bmnet.engine import ModelParams
 from bmnet.topology import (build_complete, build_random_smallworld,
                             build_regular_ring)
-from test_engine import naive_ring_neighbors
+from test_engine import held, naive_ring_neighbors
 
 BASE_PARAMS = ModelParams(sigma2=0.05, J=0.1)
 
@@ -297,15 +297,15 @@ def test_adjacency_invariants(top):
                                  build_regular_ring(2000, 40)],
                          ids=["complete", "ring"])
 def test_closed_form_kinds_store_no_adjacency(top):
-    # the engine applies these from (N, n) alone
-    arrays = [v for v in vars(top).values() if isinstance(v, np.ndarray)]
+    # their operators apply these from (N, n) alone
+    arrays = [v for v in held(top) if isinstance(v, np.ndarray)]
     assert arrays and all(a.size <= top.N + 1 for a in arrays)
 
 
 def test_smallworld_operator_shares_index_arrays():
-    # the graph is held once: the operator's matrix reads the topology's
+    # the graph is held once: the operator's matrix reads the dynamics'
     # own index arrays
     top = build_random_smallworld(1000, 0.01, seed=3)
-    [adj] = [v for v in vars(top).values() if sp.issparse(v)]
+    [adj] = [v for v in held(top) if sp.issparse(v)]
     assert np.shares_memory(adj.indices, top.indices)
     assert np.shares_memory(adj.indptr, top.indptr)
