@@ -28,10 +28,11 @@ step), and a run's noise source draws the noise of K consecutive steps
 at once, each from its own counter; no output depends on K.  The loop
 iterates the blocks it is handed and turns each into per-step
 coefficient rows (the Milstein factor m, the Taylor factors P and Q)
-with a few ufunc calls over (K, N) arrays; the steps do only the work
-that depends on the state.  On two CPUs or more, a long run forks a
-producer that draws the blocks ahead of the steps into shared memory;
-the bits are the same.
+with a few ufunc calls over (K, N) arrays.  A step is the arithmetic
+that depends on the state; the loop owns the time, the step index and
+the one positivity check after each step.  On two CPUs or more, a long
+run forks a producer that draws the blocks ahead of the steps into
+shared memory; the bits are the same.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ class EFTDynamics:
         return self._theta_params[1]
 
     def drift(self, w, params: ModelParams) -> np.ndarray:
-        # w > 0 here: every step checks positivity before the next drift
+        # w > 0 here: the loop checks positivity after every step
         th = self._theta(params)
         return params.J * (th * w ** (1.0 - self.gamma_eft) - w)
 
@@ -284,8 +285,6 @@ def _step_coefficients(scheme: str, params: ModelParams, dt: float,
         np.multiply(m, dB, m)
         np.add(m, 1.0 - s2 * dt, m)
         return (m,)
-    if dZ is None:
-        raise ValueError("order-1.5 scheme needs the auxiliary dZ increment")
     P = np.multiply(dB, c * s2 / 3.0)
     np.add(P, s2, P)
     np.multiply(P, dB, P)
@@ -299,32 +298,28 @@ def _step_coefficients(scheme: str, params: ModelParams, dt: float,
     return P, Q, dZ
 
 
-def milstein_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
-                  dt: float, m: np.ndarray) -> np.ndarray:
-    """One Milstein step from w at time t, given the step's noise factor
+def milstein_step(w: np.ndarray, dynamics, params: ModelParams, dt: float,
+                  m: np.ndarray) -> np.ndarray:
+    """One Milstein step of size dt from w, given the step's noise factor
     m of :func:`_step_coefficients`: w m + dt f, which is Euler-Maruyama
     plus sigma^2 w (dB^2 - dt) with the noise terms factored by w.
 
     Three array passes; the ufuncs write only into arrays made here,
-    never into w, m or f.
+    never into w, m or f.  Nothing is checked: the config holds dt > 0,
+    the noise source sizes m to the state, and the loop checks the
+    result.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if m.size != w.size:
-        raise ValueError("noise dimension does not match state")
     f = dynamics.drift(w, params)
     fdt = np.multiply(f, dt)
     w_new = np.multiply(w, m)
     np.add(w_new, fdt, w_new)
-    _check_positive_state(w_new, t + dt)
     return w_new
 
 
-def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
-                  dt: float, P: np.ndarray, Q: np.ndarray,
-                  dZ: np.ndarray) -> np.ndarray:
-    """One step of the order-1.5 strong Taylor scheme for diagonal noise
-    g_i = sqrt(2) sigma w_i, from w at time t, given the step's noise
+def taylor15_step(w: np.ndarray, dynamics, params: ModelParams, dt: float,
+                  P: np.ndarray, Q: np.ndarray, dZ: np.ndarray) -> np.ndarray:
+    """One step of size dt of the order-1.5 strong Taylor scheme for
+    diagonal noise g_i = sqrt(2) sigma w_i, from w, given the step's noise
     factors P and Q of :func:`_step_coefficients` and the auxiliary dZ.
 
     With c = sqrt(2) sigma and s2 = sigma^2, c Jac(w dZ) + (dt^2/2) L0 f
@@ -337,12 +332,9 @@ def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
 
     with one Jacobian product; ``jacobian_apply`` and ``l0_drift`` take
     f, and ``l0_drift`` gives s2 w^2 f'', or None for a linear drift.
-    The ufuncs write only into arrays made here.
+    The ufuncs write only into arrays made here.  As in
+    :func:`milstein_step`, nothing is checked here.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if P.size != w.size or Q.size != w.size or dZ.size != w.size:
-        raise ValueError("noise dimension does not match state")
     c = math.sqrt(2.0) * params.sigma
     half_dt2 = 0.5 * dt * dt
     f = dynamics.drift(w, params)
@@ -359,18 +351,7 @@ def taylor15_step(w: np.ndarray, t: float, dynamics, params: ModelParams,
     if curv is not None:
         np.multiply(curv, half_dt2, tmp)
         np.add(w_new, tmp, w_new)
-    _check_positive_state(w_new, t + dt)
     return w_new
-
-
-def _check_positive_state(w: np.ndarray, t: float) -> None:
-    # argmin and argmax point at a NaN if there is one, and +-inf fails
-    # one comparison; this costs less than the min and max reductions
-    if not (w[w.argmin()] > 0 and w[w.argmax()] < np.inf):
-        bad = ~np.isfinite(w) | (w <= 0)
-        agent = int(np.argmax(bad))
-        raise PositivityError(agent=agent, t=t,
-                              finite=bool(np.isfinite(w[agent])))
 
 
 @dataclass(frozen=True)
@@ -392,10 +373,11 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected {SCHEMES}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(
+                f"t_end must be nonnegative and finite, got {self.t_end}")
         self._grid_step(self.t_end, f"t_end={self.t_end}")
         if self.init_sd is not None and not 0 < self.init_sd:
             raise ValueError(f"init_sd must be positive, got {self.init_sd}")
@@ -448,21 +430,26 @@ def _step_loop(w: np.ndarray, dynamics, params: ModelParams, scheme: str,
     ``blocks`` yields the (dB, dZ) rows of the steps in order, in blocks
     whose length its source picks; each block becomes per-step
     coefficient rows in one pass, and the next is asked for only after
-    the steps of the last.  ``after_step(k, w)`` sees the state after k
-    steps.  The step functions are module globals read at call time, so
+    the steps of the last.  After each step the loop adds dt to t and
+    checks the state: a value that is not positive and finite raises
+    :class:`PositivityError` with the first such agent, t and the index
+    of the step.  ``after_step(k, w)`` sees the state after k steps.
+    The step functions are module globals read at call time, so
     wrappers installed on this module see every step.
     """
     step = milstein_step if scheme == MILSTEIN else taylor15_step
     t, k = 0.0, 0
     for noise in blocks:
         for row in zip(*_step_coefficients(scheme, params, dt, *noise)):
-            try:
-                w = step(w, t, dynamics, params, dt, *row)
-            except PositivityError as err:
-                err.step = k
-                raise
-            k += 1
+            w = step(w, dynamics, params, dt, *row)
             t += dt
+            # argmin and argmax point at a NaN if there is one, and +-inf
+            # fails one comparison; this costs less than min and max
+            if not (w[w.argmin()] > 0 and w[w.argmax()] < np.inf):
+                agent = int(np.argmax(~np.isfinite(w) | (w <= 0)))
+                raise PositivityError(agent, t, step=k,
+                                      finite=np.isfinite(w[agent]))
+            k += 1
             if after_step is not None:
                 after_step(k, w)
     return w

@@ -25,8 +25,9 @@ class PositivityError(RuntimeError):
 
     Signals that the step size is too large for the parameters.  Carries
     the first offending agent index, whether its value was still finite,
-    the step index (when known) and the simulation time.  ``snapshots``
-    holds whatever snapshots were emitted before the failure.
+    the simulation time and the index of the failing step, which the
+    stepping loop sets; ``step`` is None only for an error built by hand.
+    ``snapshots`` holds whatever snapshots were emitted before the failure.
     """
 
     def __init__(self, agent, t, step=None, snapshots=None, finite=True):
@@ -38,7 +39,6 @@ class PositivityError(RuntimeError):
         super().__init__(self.agent, self.t)
 
     def __str__(self):
-        # built on demand: simulate() learns the step index after raising
         return (
             f"wealth became {'non-positive' if self.finite else 'non-finite'}"
             f" for agent {self.agent} at t={self.t:g}"

@@ -77,15 +77,15 @@ def philox_noise(seed, step, n, dt, with_dz):
     return db, 0.5 * dt ** 1.5 * (z[0] + z[1] / math.sqrt(3.0))
 
 
-def milstein(w, t, dyn, params, dt, db):
+def milstein(w, dyn, params, dt, db):
     """A Milstein step driven by the increment db."""
     m, = engine._step_coefficients("milstein", params, dt, db, None)
-    return milstein_step(w, t, dyn, params, dt, m)
+    return milstein_step(w, dyn, params, dt, m)
 
 
-def taylor15(w, t, dyn, params, dt, db, dz):
+def taylor15(w, dyn, params, dt, db, dz):
     """An order-1.5 Taylor step driven by the increments db and dz."""
-    return taylor15_step(w, t, dyn, params, dt,
+    return taylor15_step(w, dyn, params, dt,
                          *engine._step_coefficients("taylor15", params, dt,
                                                     db, dz))
 
@@ -156,9 +156,9 @@ class TestInteractionDrift:
         for apply in (lambda: dyn.drift(v, BASE_PARAMS),
                       lambda: dyn.jacobian_apply(np.ones(300), v, BASE_PARAMS,
                                                  np.zeros(300)),
-                      lambda: milstein_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
+                      lambda: milstein_step(v, dyn, BASE_PARAMS, 0.01,
                                             np.zeros(size)),
-                      lambda: taylor15_step(v, 0.0, dyn, BASE_PARAMS, 0.01,
+                      lambda: taylor15_step(v, dyn, BASE_PARAMS, 0.01,
                                             np.zeros(size), np.zeros(size),
                                             np.zeros(size))):
             with pytest.raises(ValueError):
@@ -270,31 +270,28 @@ class TestMilsteinStep:
         w = np.array([0.5, 1.0, 2.0])
         f = np.array([0.1, -0.2, 0.0])
         dt = 0.01
-        out = milstein(w, 0.0, FixedDrift(f), BASE_PARAMS, dt, np.zeros(3))
+        out = milstein(w, FixedDrift(f), BASE_PARAMS, dt, np.zeros(3))
         assert out == pytest.approx(w + f * dt - 0.05 * w * dt)
 
     def test_frozen_arithmetic(self):
         # w=1, f=0, sigma^2=0.05, dt=0.01, dB=0.1:
         # dw = sqrt(0.1)*0.1 + 0.05*(0.01 - 0.01) = 0.0316227766...
-        out = milstein(np.array([1.0]), 0.0, MeanFieldDynamics(),
+        out = milstein(np.array([1.0]), MeanFieldDynamics(),
                        BASE_PARAMS, 0.01, np.array([0.1]))
         assert out[0] - 1.0 == pytest.approx(0.0316227766016838, rel=1e-12)
 
     def test_positivity_violation_raises_with_index(self):
-        # a pathologically large mean-reverting kick drives agent 1 negative
-        params = ModelParams(sigma2=BASE_PARAMS.sigma2, J=5.0)
+        # a steady outflow of 6 per unit time, noise-free, drains agent 1
+        # from 10 in four steps of 0.5: 6.75, 3.58, 0.49, then below 0
         with pytest.raises(PositivityError) as err:
-            milstein(np.array([0.1, 10.0]), 1.5, MeanFieldDynamics(),
-                     params, 0.5, np.zeros(2))
+            engine._step_loop(np.array([0.1, 10.0]), FixedDrift([0.0, -6.0]),
+                              BASE_PARAMS, "milstein", 0.5,
+                              [(np.zeros((4, 2)), None)])
         assert err.value.agent == 1
         assert err.value.t == 2.0
+        assert err.value.step == 3
         assert err.value.finite
         assert "non-positive" in str(err.value)
-
-    def test_rejects_mismatched_noise(self):
-        with pytest.raises(ValueError):
-            milstein(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
-                     0.01, np.zeros(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -303,12 +300,14 @@ def test_non_finite_state_raises(bad, scheme):
     # NaN fails every comparison, so a plain w <= 0 test lets it through
     w = np.array([1.0, 0.9, bad, 1.1])
     db, dz = noise(2, 0, 4, 0.01, with_dz=True)
+    dyn = FixedDrift(np.zeros(4)) if scheme == "milstein" \
+        else MeanFieldDynamics()
     with pytest.raises(PositivityError) as err, \
             np.errstate(invalid="ignore", over="ignore"):
-        if scheme == "milstein":
-            milstein(w, 0.0, FixedDrift(np.zeros(4)), BASE_PARAMS, 0.01, db)
-        else:
-            taylor15(w, 0.0, MeanFieldDynamics(), BASE_PARAMS, 0.01, db, dz)
+        engine._step_loop(w, dyn, BASE_PARAMS, scheme, 0.01,
+                          [(db[None], dz[None])])
+    assert err.value.t == 0.01
+    assert err.value.step == 0
     assert not err.value.finite
     assert "non-finite" in str(err.value)
     # milstein leaves the other agents finite; taylor15's mean-field
@@ -317,23 +316,13 @@ def test_non_finite_state_raises(bad, scheme):
 
 
 class TestTaylor15Step:
-    def test_requires_dz(self):
-        with pytest.raises(ValueError):
-            taylor15(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
-                     0.01, np.zeros(3), None)
-
-    def test_rejects_mismatched_dz(self):
-        with pytest.raises(ValueError):
-            taylor15(np.ones(3), 0.0, MeanFieldDynamics(), BASE_PARAMS,
-                     0.01, np.zeros(3), np.zeros(1))
-
     def test_noise_free_second_order_reduction(self):
         # sigma -> 0: w + f dt + (1/2) (Jacobian f) dt^2
         params = ModelParams(sigma2=1e-18, J=0.3)
         dyn = MeanFieldDynamics()
         w = np.array([0.5, 1.0, 2.0, 4.0])
         dt = 0.1
-        out = taylor15(w, 0.0, dyn, params, dt, np.zeros(4), np.zeros(4))
+        out = taylor15(w, dyn, params, dt, np.zeros(4), np.zeros(4))
         f = dyn.drift(w, params)
         expected = w + f * dt + 0.5 * dyn.jacobian_apply(w, f, params, f) * dt * dt
         assert out == pytest.approx(expected, rel=1e-12)
@@ -348,8 +337,8 @@ class TestTaylor15Step:
             for seed in range(120):
                 w = rng.gamma(3.0, 0.4, 50) + 0.05
                 db, dz = noise(seed, 0, 50, dt, with_dz=True)
-                a = milstein(w, 0.0, dyn, BASE_PARAMS, dt, db)
-                b = taylor15(w, 0.0, dyn, BASE_PARAMS, dt, db, dz)
+                a = milstein(w, dyn, BASE_PARAMS, dt, db)
+                b = taylor15(w, dyn, BASE_PARAMS, dt, db, dz)
                 diffs.append(np.max(np.abs(a - b)))
             mean_diff[dt] = np.mean(diffs)
         r1 = mean_diff[0.02] / mean_diff[0.01]
@@ -488,7 +477,7 @@ def test_taylor15_step_matches_written_out_scheme(case):
                 + c * (jac @ (w * dz)) + 0.5 * dt * dt * l0
                 + c * f * (db * dt - dz)
                 + c * s2 * w * (db * db / 3.0 - dt) * db)
-    out = taylor15(w, 0.0, dyn, params, dt, db, dz)
+    out = taylor15(w, dyn, params, dt, db, dz)
     assert np.all(np.abs(out - expected) <= 1e-13 * np.abs(expected))
     curv = dyn.l0_drift(w, dyn.drift(w, params), params)
     assert (curv is None) == (fpp is None)
@@ -670,6 +659,17 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(_mf_config(snapshot_times=(0.005,)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", math.inf), ("dt", math.nan),
+        ("t_end", math.inf), ("t_end", math.nan)])
+    def test_non_finite_time_rejected(self, field, value):
+        # an infinite dt means zero steps: the initial state, labelled t_end
+        cfg = _mf_config(**{"dynamics": build_complete(50), "N": 50,
+                            "t_end": 5.0, "snapshot_times": (0.0, 5.0),
+                            field: value})
+        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+            simulate(cfg)
+
     def test_topology_size_mismatch_rejected(self):
         cfg = _mf_config(dynamics=build_complete(4), N=5)
         with pytest.raises(ValueError, match="does not match"):
@@ -746,13 +746,13 @@ class TestNoAliasing:
         else:
             dyn = ReadOnlyMeanField()
         step = milstein_step if scheme == "milstein" else taylor15_step
-        out = step(w, 0.0, dyn, BASE_PARAMS, 0.01, *coefficients)
+        out = step(w, dyn, BASE_PARAMS, 0.01, *coefficients)
         assert out.flags.writeable
         for a in (w, db, dz, f, *coefficients):
             assert not np.shares_memory(out, a)
         assert np.array_equal(f, np.linspace(-0.1, 0.1, 6))
         assert np.array_equal(w, np.linspace(0.5, 2.0, 6))
-        again = step(w, 0.0, dyn, BASE_PARAMS, 0.01, *coefficients)
+        again = step(w, dyn, BASE_PARAMS, 0.01, *coefficients)
         assert again is not out and np.array_equal(again, out)
 
     @pytest.mark.parametrize("scheme", ["milstein", "taylor15"])
@@ -880,7 +880,7 @@ class TestStepSeams:
         dts = [2.0 ** -k for k in range(4, 7)]
         strong_convergence_study(scheme, dts, 20, seed=1)
         other = "taylor15_step" if scheme == "milstein" else "milstein_step"
-        # positional arguments: (w, t, dynamics, params, dt, dB, dZ)
-        per_dt = Counter(args[4] for args, _ in calls[f"{scheme}_step"])
+        # positional arguments: (w, dynamics, params, dt, *coefficients)
+        per_dt = Counter(args[3] for args, _ in calls[f"{scheme}_step"])
         assert per_dt == {d: round(1.0 / d) for d in dts}
         assert calls["step_noise"] == [] and calls[other] == []

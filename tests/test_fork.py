@@ -69,13 +69,15 @@ class TestNoiseProducer:
                       t_end=20.0, init_sd=0.4, seed=8,
                       snapshot_times=(0.0, 0.2, 0.4, 1.0, 2.0))
         monkeypatch.setattr(engine, "_BLOCK_DRAWS", 4 * cfg.N)
+        calls = []
         if failure == "interrupt":
             step = engine.milstein_step
 
-            def interrupted(w, t, *args):
-                if t > 1.1:
+            def interrupted(*args):
+                if len(calls) == 6:  # the step from t = 1.2
                     raise KeyboardInterrupt
-                return step(w, t, *args)
+                calls.append(None)
+                return step(*args)
             monkeypatch.setattr(engine, "milstein_step", interrupted)
             expected = KeyboardInterrupt
         else:
@@ -83,6 +85,7 @@ class TestNoiseProducer:
         seen = []
         for k in (1, 2):
             processes(k)
+            calls.clear()
             with pytest.raises(expected) as err:
                 simulate(cfg)
             seen.append(err.value)
